@@ -100,7 +100,7 @@ result run(unsigned buffer_pick, std::uint64_t records)
 
     core::stack rx_stack(receiver_host, net.ids());
     core::receiver_config rcfg;
-    rcfg.nak_retry =
+    rcfg.timing.retry_base =
         sim_duration{2 * static_cast<std::int64_t>(4 - buffer_pick) * hop.ns + 2000000};
     core::receiver rx(rx_stack, rcfg);
     sim_time done = sim_time::never();

@@ -3,14 +3,10 @@
 // Phases, all pure simulator hot path (no protocol stacks):
 //
 //   1. "churn": a set of self-rescheduling timers with coprime periods —
-//      measures raw event throughput of the scheduler heap (untagged
-//      events stay on the 4-ary heap).
-//   2. "wheel churn": the same timer set tagged task_class::timer, which
-//      routes through the hierarchical timing wheel — prices the O(1)
-//      wheel against the O(log n) heap on identical work.
-//   3. "cancel churn": schedule-then-cancel pairs — prices timer
+//      measures raw event throughput of the scheduler heap.
+//   2. "cancel churn": schedule-then-cancel pairs — prices timer
 //      cancellation (the supersede path RTO/pacing timers take).
-//   4. "forward": packets with realistic 64-byte serialized headers pushed
+//   3. "forward": packets with realistic 64-byte serialized headers pushed
 //      through a 3-hop chain (src → r1 → r2 → sink) of store-and-forward
 //      relays — measures the per-packet event path and counts heap
 //      allocations per packet in steady state via a global operator new
@@ -19,7 +15,7 @@
 //      instant, one arrival event per burst), each bare and with a flight
 //      recorder installed, to price the tracing hooks on the hot path
 //      (still zero allocations).
-//   5. "shard scaling": the facility-soak shape — five sensor sites
+//   4. "shard scaling": the facility-soak shape — five sensor sites
 //      feeding a DTN relay, a switch hop and a WAN span to the receiver
 //      — as pure store-and-forward relays, partitioned one pipeline
 //      stage per domain and run at --shards 1/2/4. The host may have a
@@ -95,12 +91,11 @@ struct churn_timer {
     engine* e;
     std::uint64_t left;
     sim_duration period;
-    task_class tc;
 
     void fire()
     {
         if (left-- == 0) return;
-        e->schedule_in(period, tc, [this] { fire(); });
+        e->schedule_in(period, [this] { fire(); });
     }
 };
 
@@ -109,9 +104,7 @@ struct churn_result {
     double events_per_sec;
 };
 
-/// task_class::generic stays on the 4-ary heap; task_class::timer routes
-/// through the hierarchical timing wheel — same timers, different home.
-churn_result run_churn(task_class tc)
+churn_result run_churn()
 {
     constexpr int timers = 64;
     constexpr std::uint64_t fires_per_timer = 100000;
@@ -121,9 +114,9 @@ churn_result run_churn(task_class tc)
     ts.reserve(timers);
     for (int i = 0; i < timers; ++i) {
         // Coprime-ish periods keep the scheduler genuinely reordering.
-        ts.push_back(churn_timer{&e, fires_per_timer, sim_duration{977 + 37 * i}, tc});
+        ts.push_back(churn_timer{&e, fires_per_timer, sim_duration{977 + 37 * i}});
     }
-    for (auto& t : ts) e.schedule_in(t.period, t.tc, [&t] { t.fire(); });
+    for (auto& t : ts) e.schedule_in(t.period, [&t] { t.fire(); });
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto executed = e.run();
@@ -135,11 +128,11 @@ churn_result run_churn(task_class tc)
 /// recovery timer, reordered data voiding a gap check): every 100 ns a
 /// new 10 µs timer replaces a pending one, so each timer is cancelled
 /// before it can fire. Cancelled closures are destroyed at cancel();
-/// their keys reap silently at the wheel as simulated time advances.
+/// their keys reap silently at the heap as simulated time advances.
 struct cancel_driver {
     engine* e;
     std::uint64_t left;
-    engine::timer_handle pending{};
+    timer_handle pending{};
 
     void fire()
     {
@@ -435,8 +428,7 @@ int main(int argc, char** argv)
         }
     }
 
-    const auto churn = run_churn(mmtp::netsim::task_class::generic);
-    const auto wheel = run_churn(mmtp::netsim::task_class::timer);
+    const auto churn = run_churn();
     const auto cancels = run_cancel_churn();
     const auto fwd1 = run_forward(false, 1);
     const auto fwd1_traced = run_forward(true, 1);
@@ -494,8 +486,6 @@ int main(int argc, char** argv)
         "  \"current\": {\n"
         "    \"churn_events\": %llu,\n"
         "    \"churn_events_per_sec\": %.0f,\n"
-        "    \"wheel_churn_events\": %llu,\n"
-        "    \"wheel_churn_events_per_sec\": %.0f,\n"
         "    \"timer_cancellations\": %llu,\n"
         "    \"timer_cancels_per_sec\": %.0f,\n"
         "    \"burst\": %u,\n"
@@ -519,7 +509,6 @@ int main(int argc, char** argv)
         baseline_churn_events_per_sec, baseline_forward_events_per_sec,
         baseline_forward_packets_per_sec, baseline_allocs_per_packet,
         static_cast<unsigned long long>(churn.events), churn.events_per_sec,
-        static_cast<unsigned long long>(wheel.events), wheel.events_per_sec,
         static_cast<unsigned long long>(cancels.events), cancels.events_per_sec,
         burst, static_cast<unsigned long long>(fwd.packets),
         static_cast<unsigned long long>(fwd.events), fwd.events_per_sec,

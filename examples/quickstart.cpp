@@ -73,20 +73,14 @@ int main()
     // 4. Endpoints: sensor sends mode 0; DTN buffers+relays; analysis
     //    receives and NAKs the DTN on loss.
     core::stack sensor_stack(sensor, net.ids());
-    core::sender_config scfg;
-    scfg.origin_mode = policy.origin_mode;
-    core::sender tx(sensor_stack, dtn.address(), scfg);
+    core::sender tx(sensor_stack, dtn.address(), {.origin_mode = policy.origin_mode});
 
     core::stack dtn_stack(dtn, net.ids());
-    core::buffer_service_config bcfg;
-    bcfg.next_hop = analysis.address();
-    core::buffer_service buffer(dtn_stack, bcfg);
+    core::buffer_service buffer(dtn_stack, {.next_hop = analysis.address()});
     buffer.attach_as_sink();
 
     core::stack rx_stack(analysis, net.ids());
-    core::receiver_config rcfg;
-    rcfg.nak_retry = policy.suggested_nak_retry;
-    core::receiver rx(rx_stack, rcfg);
+    core::receiver rx(rx_stack, {.timing = {.retry_base = policy.suggested_nak_retry}});
 
     // 5. Drive a synthetic LArTPC stream and run the simulation.
     daq::iceberg_stream::config icfg;

@@ -152,7 +152,7 @@ void receiver::on_data(delivered_datagram&& d)
             if (!st.check_scheduled) schedule_check(k, cfg_.timing.reorder_grace);
         } else if (st.check_scheduled && stack_.sim().cancel(st.check_timer)) {
             // Reordered data closed every gap before the grace period
-            // ended: drop the now-pointless check at the wheel.
+            // ended: drop the now-pointless check.
             st.check_scheduled = false;
         }
     }

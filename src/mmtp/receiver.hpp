@@ -33,26 +33,6 @@ struct receiver_config {
     /// The retry budget and backoff restart at the fallback buffer;
     /// give-up happens only after a further max_attempts there.
     timing_profile timing{};
-
-    /// Deprecated aliases (one release): old field names for the knobs
-    /// that moved into `timing`.
-    sim_duration& reorder_grace{timing.reorder_grace};
-    sim_duration& nak_retry{timing.retry_base};
-    sim_duration& nak_retry_cap{timing.retry_cap};
-    std::uint32_t& max_nak_attempts{timing.max_attempts};
-    std::uint32_t& failover_attempts{timing.failover_attempts};
-
-    receiver_config() = default;
-    receiver_config(const receiver_config& o)
-        : check_deadline(o.check_deadline), timing(o.timing)
-    {
-    }
-    receiver_config& operator=(const receiver_config& o)
-    {
-        check_deadline = o.check_deadline;
-        timing = o.timing; // aliases rebind nothing: they track our own timing
-        return *this;
-    }
 };
 
 struct receiver_stats {
@@ -167,7 +147,7 @@ private:
         bool check_scheduled{false};
         // Pending gap-check timer: cancelled when data closes every gap
         // before the grace period ends (the check would fire dead).
-        netsim::engine::timer_handle check_timer;
+        netsim::timer_handle check_timer;
         sim_time last_activity{sim_time::zero()};
     };
 

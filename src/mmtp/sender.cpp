@@ -3,6 +3,8 @@
 #include "common/trace.hpp"
 #include "netsim/engine.hpp"
 
+#include <algorithm>
+
 namespace mmtp::core {
 
 sender::sender(stack& st, wire::ipv4_addr dst, sender_config cfg)
@@ -157,15 +159,41 @@ void sender::send_message(const daq::daq_message& msg)
 
 std::uint64_t sender::drive(daq::message_source& src, std::uint64_t limit)
 {
-    std::uint64_t n = 0;
-    while (limit == 0 || n < limit) {
+    auto& sim = stack_.sim();
+    const sim_time now = sim.now();
+    auto chain = std::make_unique<emission_chain>();
+    while (limit == 0 || chain->size() < limit) {
         auto tm = src.next();
         if (!tm) break;
-        n++;
-        stack_.sim().schedule_at(tm->at, netsim::task_class::protocol,
-                                 [this, msg = std::move(tm->msg)] { send_message(msg); });
+        chain->push_back({tm->at < now ? now : tm->at, 0, std::move(tm->msg)});
     }
+    const std::uint64_t n = chain->size();
+    if (n == 0) return 0;
+    std::uint64_t seq = sim.reserve_seq(n);
+    for (auto& e : *chain) e.seq = seq++;
+    // Sources are mostly time-ordered already.
+    const auto sooner = [](const emission& a, const emission& b) {
+        return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+    };
+    if (!std::is_sorted(chain->begin(), chain->end(), sooner))
+        std::sort(chain->begin(), chain->end(), sooner);
+    schedule_emission(std::move(chain));
     return n;
+}
+
+void sender::schedule_emission(std::unique_ptr<emission_chain> chain)
+{
+    const sim_time at = chain->front().at;
+    const std::uint64_t seq = chain->front().seq;
+    // Each emission schedules the next from inside its own event, which
+    // is what keeps reserved keys in their pre-scheduled order.
+    stack_.sim().schedule_reserved(
+        at, seq, netsim::task_class::protocol, [this, chain = std::move(chain)]() mutable {
+            const daq::daq_message msg = std::move(chain->front().msg);
+            chain->pop_front();
+            if (!chain->empty()) schedule_emission(std::move(chain));
+            send_message(msg);
+        });
 }
 
 void sender::enqueue_datagram(wire::header h, std::vector<std::uint8_t> payload,

@@ -14,6 +14,7 @@
 #include "mmtp/timing_profile.hpp"
 
 #include <deque>
+#include <memory>
 #include <optional>
 
 namespace mmtp::core {
@@ -43,33 +44,6 @@ struct sender_config {
     /// quiet period before recovery begins; each new signal pushes it
     /// out again) and `timing.recovery_interval`.
     timing_profile timing{};
-
-    /// Deprecated aliases (one release): old field names for the knobs
-    /// that moved into `timing`.
-    sim_duration& backpressure_hold{timing.hold};
-    sim_duration& recovery_interval{timing.recovery_interval};
-
-    sender_config() = default;
-    sender_config(const sender_config& o)
-        : origin_mode(o.origin_mode), timestamp(o.timestamp),
-          max_datagram_payload(o.max_datagram_payload), pace(o.pace),
-          honor_backpressure(o.honor_backpressure),
-          min_pace_fraction(o.min_pace_fraction),
-          recovery_step_fraction(o.recovery_step_fraction), timing(o.timing)
-    {
-    }
-    sender_config& operator=(const sender_config& o)
-    {
-        origin_mode = o.origin_mode;
-        timestamp = o.timestamp;
-        max_datagram_payload = o.max_datagram_payload;
-        pace = o.pace;
-        honor_backpressure = o.honor_backpressure;
-        min_pace_fraction = o.min_pace_fraction;
-        recovery_step_fraction = o.recovery_step_fraction;
-        timing = o.timing; // aliases rebind nothing: they track our own timing
-        return *this;
-    }
 };
 
 struct sender_stats {
@@ -111,8 +85,12 @@ public:
     /// Enqueues a message for transmission (immediately if unpaced).
     void send_message(const daq::daq_message& msg);
 
-    /// Drives a message_source: schedules every message at its emission
-    /// time on the simulation engine. Returns messages scheduled.
+    /// Drives a message_source: pulls every message (at most `limit`, 0 =
+    /// all) now and emits each at its time, clamped to now(). Only one
+    /// emission event per call is pending at a time — each one schedules
+    /// the next — yet every message is dispatched under the key it would
+    /// get if all were scheduled now, in source order (see
+    /// scheduler::reserve_seq). Returns messages pulled.
     std::uint64_t drive(daq::message_source& src, std::uint64_t limit = 0);
 
     const sender_stats& stats() const { return stats_; }
@@ -143,6 +121,16 @@ public:
     void set_trace_site(std::uint32_t site) { trace_site_ = site; }
 
 private:
+    /// A driven message and the (at, seq) key it is dispatched under.
+    struct emission {
+        sim_time at;
+        std::uint64_t seq;
+        daq::daq_message msg;
+    };
+    /// The rest of one drive() call's messages, in dispatch order.
+    using emission_chain = std::deque<emission>;
+
+    void schedule_emission(std::unique_ptr<emission_chain> chain);
     void on_backpressure(const wire::backpressure_body& b);
     void schedule_recovery();
     void recovery_step();
@@ -176,9 +164,9 @@ private:
     sim_time suppressed_since_{sim_time::zero()};
     bool recovery_scheduled_{false};
     // Pending recovery timer: cancelled and re-armed when a fresher
-    // signal extends bp_until_, so superseded timers are dropped at the
-    // wheel instead of dead-firing.
-    netsim::engine::timer_handle recovery_timer_;
+    // signal extends bp_until_, so superseded timers are dropped instead
+    // of dead-firing.
+    netsim::timer_handle recovery_timer_;
     std::uint16_t epoch_{0};
     std::uint32_t trace_site_{0};
 };

@@ -6,8 +6,7 @@
 // sender_config, receiver_config and buffer_service_config. They are one
 // policy: the control plane derives them together from the same
 // path-latency inputs (compile_modes' suggested_nak_retry, §5.4), so
-// they live together. The old per-config field names remain as member
-// aliases for one release; new code should reach through `.timing`.
+// they live together, reached through each config's `.timing`.
 #pragma once
 
 #include "common/units.hpp"

@@ -8,21 +8,14 @@
 // Hot-path design: closures are common/inline_task.hpp values, which
 // store the usual captures (`this` plus a moved packet) inline instead of
 // on the heap. Pending tasks are parked in a slab recycled through a free
-// list. Keys are trivial 24-byte {time, seq, slot} records ordered by two
-// complementary structures: high-churn timer classes (timer, protocol,
-// control) go to a hierarchical timing wheel (common/timing_wheel.hpp,
-// O(1) push) while packet-path events and far-future timers beyond the
-// wheel horizon stay on the 4-ary min-heap (common/dary_heap.hpp) — sifts
-// are plain memcpys, and pop_move() moves the winning task out of the
-// slab exactly once. step() merges both sources in exact (at, seq) order,
-// so the split is invisible to dispatch order and determinism. Steady-
-// state event dispatch performs zero allocations and zero per-event deep
-// copies.
+// list. Keys are trivial 24-byte {time, seq, slot} records ordered by one
+// 4-ary min-heap (common/dary_heap.hpp): sifts are plain memcpys, and
+// step() runs the winning task in place in the slab. Steady-state event
+// dispatch performs zero allocations and zero per-event deep copies.
 #pragma once
 
 #include "common/dary_heap.hpp"
 #include "common/inline_task.hpp"
-#include "common/timing_wheel.hpp"
 #include "common/units.hpp"
 #include "netsim/scheduler.hpp"
 
@@ -55,9 +48,6 @@ public:
     using action = inline_task;
 
     static constexpr std::uint32_t no_slot = scheduler_no_slot;
-
-    /// Alias of netsim::timer_handle, kept for pre-scheduler call sites.
-    using timer_handle = netsim::timer_handle;
 
     /// Current simulated time.
     sim_time now() const override { return now_; }
@@ -115,9 +105,9 @@ public:
 
     /// Cancels a pending timer: the closure's captures are destroyed
     /// immediately and the key is reaped (uncounted) when it surfaces at
-    /// the wheel or heap — the event never fires. Returns false (no-op)
-    /// for inactive or stale handles, and for a timer cancelling itself
-    /// from inside its own callback. Deactivates `h` either way.
+    /// the heap — the event never fires. Returns false (no-op) for
+    /// inactive or stale handles, and for a timer cancelling itself from
+    /// inside its own callback. Deactivates `h` either way.
     bool cancel(timer_handle& h) override
     {
         const std::uint32_t slot = h.slot;
@@ -133,6 +123,13 @@ public:
         return true;
     }
 
+    std::uint64_t reserve_seq(std::uint64_t n) override
+    {
+        const std::uint64_t first = next_seq_;
+        next_seq_ += n;
+        return first;
+    }
+
     /// Runs events until the queue empties. Returns events executed.
     std::uint64_t run();
 
@@ -143,15 +140,8 @@ public:
     /// Cancelled keys surfacing at the front are reaped silently.
     bool step()
     {
-        for (;;) {
-            key k;
-            const key* w = wheel_.peek();
-            if (w != nullptr && (events_.empty() || sooner{}(*w, events_.top())))
-                k = wheel_.pop();
-            else if (!events_.empty())
-                k = events_.pop_move();
-            else
-                return false;
+        while (!events_.empty()) {
+            const key k = events_.pop_move();
             now_ = k.at;
             if (dead_[k.slot]) {
                 reap(k.slot);
@@ -170,13 +160,14 @@ public:
             free_slots_.push_back(k.slot);
             return true;
         }
+        return false;
     }
 
-    bool empty() const { return events_.empty() && wheel_.empty(); }
+    bool empty() const { return events_.empty(); }
 
-    /// Pending keys across heap and wheel. Cancelled-but-unreaped timers
-    /// still count until their key surfaces.
-    std::size_t pending() const { return events_.size() + wheel_.size(); }
+    /// Pending keys. Cancelled-but-unreaped timers still count until
+    /// their key surfaces.
+    std::size_t pending() const { return events_.size(); }
 
     /// Event counts by handler class and dispatch wall time so far.
     const engine_profile& profile() const { return profile_; }
@@ -198,6 +189,12 @@ protected:
     {
         const std::uint32_t slot = park(at < now_ ? now_ : at, tc, std::move(t));
         return timer_handle{slot, gen_[slot]};
+    }
+
+    void post_reserved(sim_time at, std::uint64_t seq, task_class tc,
+                       inline_task&& t) override
+    {
+        park(at, seq, tc, std::move(t));
     }
 
 private:
@@ -226,12 +223,6 @@ private:
         return blocks_[slot >> slab_block_bits][slot & (slab_block_size - 1)];
     }
 
-    static constexpr bool wheel_routed(task_class tc)
-    {
-        return tc == task_class::timer || tc == task_class::protocol ||
-               tc == task_class::control;
-    }
-
     /// Recycles a cancelled slot without counting an execution.
     void reap(std::uint32_t slot)
     {
@@ -244,29 +235,21 @@ private:
     /// front so run_until() never mistakes a dead timer for work.
     bool next_at(sim_time& at)
     {
-        for (;;) {
-            const key* w = wheel_.peek();
-            if (w != nullptr && dead_[w->slot]) {
-                reap(wheel_.pop().slot);
-                continue;
-            }
-            if (!events_.empty() && dead_[events_.top().slot]) {
-                reap(events_.pop_move().slot);
-                continue;
-            }
-            if (w == nullptr && events_.empty()) return false;
-            if (w == nullptr)
-                at = events_.top().at;
-            else if (events_.empty())
-                at = w->at;
-            else
-                at = sooner{}(*w, events_.top()) ? w->at : events_.top().at;
-            return true;
-        }
+        while (!events_.empty() && dead_[events_.top().slot])
+            reap(events_.pop_move().slot);
+        if (events_.empty()) return false;
+        at = events_.top().at;
+        return true;
     }
 
     template <typename F>
     std::uint32_t park(sim_time at, task_class tc, F&& fn)
+    {
+        return park(at, next_seq_++, tc, std::forward<F>(fn));
+    }
+
+    template <typename F>
+    std::uint32_t park(sim_time at, std::uint64_t seq, task_class tc, F&& fn)
     {
         std::uint32_t slot;
         if (!free_slots_.empty()) {
@@ -285,20 +268,13 @@ private:
             slot = task_count_++;
         }
         task_at(slot).emplace(std::forward<F>(fn));
-        const key k{at, next_seq_++, slot, tc};
-        // High-churn timer classes ride the wheel; packet-path classes
-        // and wheel-horizon overflow stay on the heap. step() merges the
-        // two in exact (at, seq) order, so routing never changes dispatch
-        // order — only the cost of getting there.
-        if (wheel_routed(tc) && wheel_.push(k, now_)) return slot;
-        events_.push(k);
+        events_.push(key{at, seq, slot, tc});
         return slot;
     }
 
     sim_time now_{sim_time::zero()};
     std::uint64_t next_seq_{0};
     dary_heap<key, sooner> events_;
-    timing_wheel<key> wheel_;
     std::vector<std::unique_ptr<action[]>> blocks_;
     std::uint32_t task_count_{0};
     std::vector<std::uint32_t> free_slots_;

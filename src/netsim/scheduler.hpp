@@ -13,6 +13,9 @@
 //   schedule_at / schedule_in   fire-and-forget events (optionally tagged)
 //   schedule_cancellable_in     supersedable timers
 //   cancel()                    generation-checked cancellation
+//   reserve_seq / schedule_reserved
+//                               one pending event standing in for a
+//                               batch of pre-ordered ones
 //
 // `engine` implements this interface. Its own template schedule methods
 // shadow the ones here, so engine-typed callers keep the fully inlined
@@ -37,9 +40,8 @@ class engine;
 
 /// Coarse handler classes for engine profiling. Schedulers may tag each
 /// event; untagged events count as `generic`. The tag rides in padding of
-/// the heap key, so tagging costs nothing in size or ordering. The tag
-/// also picks the scheduling structure inside `engine`: timer/protocol/
-/// control events go through the timing wheel, the rest through the heap.
+/// the heap key, so tagging costs nothing in size or ordering; it is a
+/// profiling label only and never affects dispatch.
 enum class task_class : std::uint8_t {
     generic = 0,
     timer,        // telemetry probes, samplers, scripted scenario steps
@@ -118,6 +120,26 @@ public:
     /// genuinely dropped.
     virtual bool cancel(timer_handle& h) = 0;
 
+    /// Reserves `n` consecutive insertion-order numbers and returns the
+    /// first. Together with schedule_reserved() this lets a component
+    /// keep one pending event in place of `n` events it would otherwise
+    /// schedule right now, yet dispatch each of them with exactly the
+    /// (time, insertion order) key it would have had.
+    virtual std::uint64_t reserve_seq(std::uint64_t n) = 0;
+
+    /// Schedules `fn` at `at` under `seq`, a number from reserve_seq().
+    /// The one rule: each reserved key (at, seq) must be scheduled before
+    /// any larger key is dispatched. Scheduling key i+1 from inside the
+    /// event of key i, with keys increasing, always satisfies it — every
+    /// key dispatched before then is smaller than key i — so dispatch
+    /// order is the same as if all of them had been scheduled up front.
+    /// The rule also implies at >= now().
+    template <typename F>
+    void schedule_reserved(sim_time at, std::uint64_t seq, task_class tc, F&& fn)
+    {
+        post_reserved(at, seq, tc, inline_task(std::forward<F>(fn)));
+    }
+
     /// Concrete-engine escape hatch for hot paths: non-null when this
     /// scheduler *is* an engine, letting callers cache the downcast once
     /// and keep the fully inlined schedule path. Interface-only
@@ -129,6 +151,8 @@ protected:
     virtual void post(sim_time at, task_class tc, inline_task&& t) = 0;
     virtual timer_handle post_cancellable(sim_time at, task_class tc,
                                           inline_task&& t) = 0;
+    virtual void post_reserved(sim_time at, std::uint64_t seq, task_class tc,
+                               inline_task&& t) = 0;
 };
 
 } // namespace mmtp::netsim

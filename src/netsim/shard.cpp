@@ -12,7 +12,7 @@ namespace mmtp::netsim {
 
 // --- barrier_scheduler ---------------------------------------------------
 
-std::uint32_t barrier_scheduler::park(sim_time at, inline_task&& t)
+std::uint32_t barrier_scheduler::park(sim_time at, std::uint64_t seq, inline_task&& t)
 {
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -24,7 +24,7 @@ std::uint32_t barrier_scheduler::park(sim_time at, inline_task&& t)
     }
     slots_[slot].fn = std::move(t);
     slots_[slot].dead = false;
-    queue_.push_back(entry{at < now_ ? now_ : at, next_seq_++, slot});
+    queue_.push_back(entry{at < now_ ? now_ : at, seq, slot});
     std::push_heap(queue_.begin(), queue_.end(), [](const entry& a, const entry& b) {
         if (a.at != b.at) return a.at > b.at;
         return a.seq > b.seq;
@@ -34,14 +34,27 @@ std::uint32_t barrier_scheduler::park(sim_time at, inline_task&& t)
 
 void barrier_scheduler::post(sim_time at, task_class, inline_task&& t)
 {
-    park(at, std::move(t));
+    park(at, next_seq_++, std::move(t));
 }
 
 timer_handle barrier_scheduler::post_cancellable(sim_time at, task_class,
                                                  inline_task&& t)
 {
-    const std::uint32_t slot = park(at, std::move(t));
+    const std::uint32_t slot = park(at, next_seq_++, std::move(t));
     return timer_handle{slot, slots_[slot].gen};
+}
+
+std::uint64_t barrier_scheduler::reserve_seq(std::uint64_t n)
+{
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+}
+
+void barrier_scheduler::post_reserved(sim_time at, std::uint64_t seq, task_class,
+                                      inline_task&& t)
+{
+    park(at, seq, std::move(t));
 }
 
 bool barrier_scheduler::cancel(timer_handle& h)

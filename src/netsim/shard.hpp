@@ -64,6 +64,7 @@ class barrier_scheduler final : public scheduler {
 public:
     sim_time now() const override { return now_; }
     bool cancel(timer_handle& h) override;
+    std::uint64_t reserve_seq(std::uint64_t n) override;
 
     /// Earliest queued live task time; false when drained.
     bool peek(sim_time& at);
@@ -76,6 +77,8 @@ public:
 protected:
     void post(sim_time at, task_class tc, inline_task&& t) override;
     timer_handle post_cancellable(sim_time at, task_class tc, inline_task&& t) override;
+    void post_reserved(sim_time at, std::uint64_t seq, task_class tc,
+                       inline_task&& t) override;
 
 private:
     struct entry {
@@ -88,7 +91,7 @@ private:
         std::uint32_t gen{0};
         bool dead{false};
     };
-    std::uint32_t park(sim_time at, inline_task&& t);
+    std::uint32_t park(sim_time at, std::uint64_t seq, inline_task&& t);
 
     std::vector<entry> queue_; // kept as a (at, seq) min-heap
     std::vector<slot_rec> slots_;

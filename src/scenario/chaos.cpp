@@ -182,10 +182,10 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 
     tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids_for(1));
     core::receiver_config r_cfg;
-    r_cfg.nak_retry = cfg.nak_retry;
-    r_cfg.nak_retry_cap = cfg.nak_retry_cap;
-    r_cfg.max_nak_attempts = cfg.max_nak_attempts;
-    r_cfg.failover_attempts = cfg.failover_attempts;
+    r_cfg.timing.retry_base = cfg.nak_retry;
+    r_cfg.timing.retry_cap = cfg.nak_retry_cap;
+    r_cfg.timing.max_attempts = cfg.max_nak_attempts;
+    r_cfg.timing.failover_attempts = cfg.failover_attempts;
     tb->rx = std::make_unique<core::receiver>(*tb->rx_stack, r_cfg);
     // The fallback buffer is *learned*, not configured: buf1's advert
     // names buf2 as the secondary holding the same streams.

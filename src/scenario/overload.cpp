@@ -116,9 +116,9 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     s_cfg.max_datagram_payload = cfg.message_bytes;
     s_cfg.pace = cfg.pace;
     s_cfg.min_pace_fraction = cfg.min_pace_fraction;
-    s_cfg.backpressure_hold = cfg.backpressure_hold;
+    s_cfg.timing.hold = cfg.backpressure_hold;
     s_cfg.recovery_step_fraction = cfg.recovery_step_fraction;
-    s_cfg.recovery_interval = cfg.recovery_interval;
+    s_cfg.timing.recovery_interval = cfg.recovery_interval;
     tb->tx = std::make_unique<core::sender>(*tb->src_stack, tb->rx_host->address(), s_cfg);
 
     core::buffer_service_config b;
@@ -134,9 +134,9 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
 
     tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids());
     core::receiver_config r_cfg;
-    r_cfg.nak_retry = cfg.nak_retry;
-    r_cfg.nak_retry_cap = cfg.nak_retry_cap;
-    r_cfg.max_nak_attempts = cfg.max_nak_attempts;
+    r_cfg.timing.retry_base = cfg.nak_retry;
+    r_cfg.timing.retry_cap = cfg.nak_retry_cap;
+    r_cfg.timing.max_attempts = cfg.max_nak_attempts;
     tb->rx = std::make_unique<core::receiver>(*tb->rx_stack, r_cfg);
 
     if (tb->tracer) {

@@ -147,7 +147,7 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
 
     tb->dtn2_stack = std::make_unique<core::stack>(*tb->dtn2, net.ids());
     core::receiver_config r_cfg;
-    r_cfg.nak_retry = tb->policy.suggested_nak_retry;
+    r_cfg.timing.retry_base = tb->policy.suggested_nak_retry;
     tb->dtn2_rx = std::make_unique<core::receiver>(*tb->dtn2_stack, r_cfg);
 
     return tb;

@@ -1,6 +1,7 @@
 // Regression tests pinned to the zero-copy engine rework: deterministic
-// event ordering across the heap/slab replacement, per-band queue drop
-// accounting, and link stats reconciliation after the tx/loss split.
+// event ordering across the heap/slab replacement, timer cancellation
+// (handles, stats, reaping), per-band queue drop accounting, and link
+// stats reconciliation after the tx/loss split.
 // These lock in observable behaviour the rest of the repo (and every
 // seeded integration run) depends on.
 #include "common/inline_task.hpp"
@@ -11,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 using namespace mmtp;
@@ -137,6 +141,196 @@ TEST(engine_determinism, hot_closures_stay_inline)
     auto arrival = [q = std::move(p), n = (void*)nullptr]() mutable { (void)q; };
     static_assert(inline_task::stored_inline<decltype(arrival)>);
     SUCCEED();
+}
+
+// Events of different task classes scheduled for identical instants must
+// fire in global insertion order: the class is a profiling tag only.
+TEST(engine_determinism, mixed_task_classes_keep_insertion_order)
+{
+    engine e;
+    std::vector<int> order;
+    int tag = 0;
+    for (int i = 0; i < 40; ++i) {
+        const sim_duration at{1000 + (i % 5) * 3000};
+        const auto cls = (i % 2 == 0) ? task_class::timer : task_class::generic;
+        const int t = tag++;
+        e.schedule_in(at, cls, [&order, t] { order.push_back(t); });
+    }
+    e.run();
+
+    ASSERT_EQ(order.size(), 40u);
+    // Reference: stable sort of (time, insertion index).
+    std::vector<int> expect(40);
+    for (int i = 0; i < 40; ++i) expect[static_cast<std::size_t>(i)] = i;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](int a, int b) { return (a % 5) < (b % 5); });
+    EXPECT_EQ(order, expect);
+}
+
+// A timer two hours out fires at its time, after nearer timers.
+TEST(engine_determinism, far_future_timer_fires_last)
+{
+    engine e;
+    std::vector<int> order;
+    const sim_duration two_hours{2ll * 3600 * 1000000000};
+    e.schedule_in(two_hours, task_class::timer, [&] { order.push_back(1); });
+    e.schedule_in(sim_duration{5000}, task_class::timer, [&] { order.push_back(0); });
+    const auto executed = e.run();
+
+    EXPECT_EQ(executed, 2u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(e.now(), sim_time{} + two_hours);
+}
+
+// Thousands of events at random times (heavy tie mass on a coarse grid
+// plus a wide spread) and random classes, some cancelled after the fact:
+// the live ones fire exactly in a stable sort by (time, insertion).
+TEST(engine_determinism, randomized_matches_stable_sort_reference)
+{
+    engine e;
+    std::mt19937_64 rng(20260807);
+    std::uniform_int_distribution<std::int64_t> coarse(0, 99);
+    std::uniform_int_distribution<std::int64_t> spread(0, (1 << 20) - 1);
+    std::uniform_int_distribution<int> cls(0, task_class_count - 1);
+
+    struct event {
+        std::int64_t at;
+        int id;
+    };
+    std::vector<event> scheduled;
+    std::vector<timer_handle> handles;
+    std::vector<int> fired;
+    for (int id = 0; id < 5000; ++id) {
+        const std::int64_t at = (id % 3 == 0) ? coarse(rng) * 1000 : spread(rng);
+        handles.push_back(e.schedule_cancellable_in(sim_duration{at},
+                                                    static_cast<task_class>(cls(rng)),
+                                                    [&fired, id] { fired.push_back(id); }));
+        scheduled.push_back({at, id});
+    }
+    std::vector<event> live;
+    for (const auto& ev : scheduled) {
+        if (rng() % 8 == 0)
+            EXPECT_TRUE(e.cancel(handles[static_cast<std::size_t>(ev.id)]));
+        else
+            live.push_back(ev);
+    }
+    std::stable_sort(live.begin(), live.end(),
+                     [](const event& a, const event& b) { return a.at < b.at; });
+    std::vector<int> expect;
+    for (const auto& ev : live) expect.push_back(ev.id);
+
+    EXPECT_EQ(e.run(), live.size());
+    EXPECT_EQ(fired, expect);
+    EXPECT_EQ(e.profile().timers_cancelled, scheduled.size() - live.size());
+}
+
+// A key from reserve_seq() sorts where its number was reserved: after
+// events scheduled before the reservation and before those scheduled
+// after it, although it is itself scheduled last.
+TEST(engine_determinism, reserved_seq_keeps_its_insertion_position)
+{
+    engine e;
+    std::vector<int> order;
+    e.schedule_at(sim_time{100}, [&] { order.push_back(0); });
+    const std::uint64_t seq = e.reserve_seq(1);
+    e.schedule_at(sim_time{100}, [&] { order.push_back(2); });
+    e.schedule_reserved(sim_time{100}, seq, task_class::protocol,
+                        [&] { order.push_back(1); });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// ------------------------------------------------------- cancellation
+
+TEST(engine_cancel, cancelled_timer_never_fires_and_is_counted)
+{
+    engine e;
+    int fired = 0;
+    auto h = e.schedule_cancellable_in(sim_duration{1000}, task_class::timer,
+                                       [&] { fired++; });
+    EXPECT_TRUE(h.active());
+    EXPECT_TRUE(e.cancel(h));
+    EXPECT_FALSE(h.active()); // cancel() deactivates the handle
+    EXPECT_FALSE(e.cancel(h)); // double cancel is a no-op
+
+    const auto executed = e.run();
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(executed, 0u); // reaped, not executed
+    EXPECT_EQ(e.profile().timers_cancelled, 1u);
+}
+
+TEST(engine_cancel, stale_handle_after_fire_is_noop)
+{
+    engine e;
+    int fired = 0;
+    auto h = e.schedule_cancellable_in(sim_duration{1000}, task_class::timer,
+                                       [&] { fired++; });
+    e.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(e.cancel(h)); // slot already recycled; gen mismatch
+    EXPECT_EQ(e.profile().timers_cancelled, 0u);
+
+    // The recycled slot must not be cancellable through the old handle
+    // even when a new timer occupies it.
+    int fired2 = 0;
+    auto h2 = e.schedule_cancellable_in(sim_duration{1000}, task_class::timer,
+                                        [&] { fired2++; });
+    EXPECT_FALSE(e.cancel(h));
+    e.run();
+    EXPECT_EQ(fired2, 1);
+    (void)h2;
+}
+
+TEST(engine_cancel, self_cancel_inside_callback_is_noop)
+{
+    engine e;
+    int fired = 0;
+    timer_handle h;
+    h = e.schedule_cancellable_in(sim_duration{1000}, task_class::timer, [&] {
+        fired++;
+        EXPECT_FALSE(e.cancel(h)); // mid-fire: nothing to drop
+    });
+    e.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(e.profile().timers_cancelled, 0u);
+}
+
+// run_until() must not count a cancelled front timer as pending work: the
+// dead key is reaped while probing for the next event time.
+TEST(engine_cancel, run_until_skips_cancelled_front_timer)
+{
+    engine e;
+    int fired = 0;
+    auto front = e.schedule_cancellable_in(sim_duration{1000}, task_class::timer,
+                                           [&] { fired += 100; });
+    e.schedule_in(sim_duration{2000}, task_class::generic, [&] { fired += 1; });
+    EXPECT_TRUE(e.cancel(front));
+
+    const auto first = e.run_until(sim_time{1500});
+    EXPECT_EQ(first, 0u); // nothing live before 1500
+    const auto second = e.run_until(sim_time{2500});
+    EXPECT_EQ(second, 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(e.empty());
+    EXPECT_EQ(e.profile().timers_cancelled, 1u);
+}
+
+// Cancel + reschedule chains (the RTO/pacing supersede pattern) must
+// stay leak-free in slots: every cancelled slot is reused.
+TEST(engine_cancel, supersede_chain_reuses_slots)
+{
+    engine e;
+    int fired = 0;
+    timer_handle pending{};
+    for (int i = 0; i < 1000; ++i) {
+        e.cancel(pending);
+        pending = e.schedule_cancellable_in(sim_duration{10000 + i},
+                                            task_class::timer, [&] { fired++; });
+    }
+    e.run();
+    EXPECT_EQ(fired, 1); // only the last survivor fires
+    EXPECT_EQ(e.profile().timers_cancelled, 999u);
+    EXPECT_EQ(e.profile().executed, 1u);
 }
 
 // ------------------------------------------------- queue drop accounting

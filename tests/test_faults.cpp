@@ -374,10 +374,10 @@ TEST(fault_receiver, nak_retries_back_off_exponentially_to_cap)
     });
 
     receiver_config rcfg;
-    rcfg.nak_retry = 3_ms;
-    rcfg.nak_retry_cap = 10_ms;
-    rcfg.max_nak_attempts = 5;
-    rcfg.failover_attempts = 0; // no fallback in this rig
+    rcfg.timing.retry_base = 3_ms;
+    rcfg.timing.retry_cap = 10_ms;
+    rcfg.timing.max_attempts = 5;
+    rcfg.timing.failover_attempts = 0; // no fallback in this rig
     receiver rx(s_dst, rcfg);
 
     // Sequences 0..9 with 5 missing; the buffer address points at src.
@@ -444,9 +444,9 @@ TEST(fault_receiver, nak_failover_to_secondary_buffer_after_blackout)
     buffer_service secondary_svc(s_secondary, scfg);
 
     receiver_config rcfg;
-    rcfg.nak_retry = 3_ms;
-    rcfg.max_nak_attempts = 6;
-    rcfg.failover_attempts = 2;
+    rcfg.timing.retry_base = 3_ms;
+    rcfg.timing.max_attempts = 6;
+    rcfg.timing.failover_attempts = 2;
     receiver rx(s_dst, rcfg);
     // The fallback address is learned from the primary's own advert.
     s_dst.set_advert_handler([&](const wire::buffer_advert_body& a) {

@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 using namespace mmtp;
 using namespace mmtp::core;
 using namespace mmtp::netsim;
@@ -158,7 +163,7 @@ TEST(mmtp_sender, backpressure_scales_pace_down_then_recovers)
     mmtp_pair t;
     sender_config cfg;
     cfg.pace = data_rate::from_mbps(100);
-    cfg.backpressure_hold = 10_ms;
+    cfg.timing.hold = 10_ms;
     cfg.min_pace_fraction = 0.1;
     sender tx(*t.sa, t.b->address(), cfg);
 
@@ -197,7 +202,7 @@ TEST(mmtp_sender, weaker_signal_does_not_relax_stronger_suppression)
     mmtp_pair t;
     sender_config cfg;
     cfg.pace = data_rate::from_mbps(100);
-    cfg.backpressure_hold = 10_ms;
+    cfg.timing.hold = 10_ms;
     cfg.min_pace_fraction = 0.1;
     sender tx(*t.sa, t.b->address(), cfg);
 
@@ -244,6 +249,135 @@ TEST(mmtp_sender, drive_schedules_source_messages)
     EXPECT_EQ(got, 25u);
 }
 
+namespace {
+
+/// Emissions as (time ns, id); the id travels as the message timestamp.
+using emission_list = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+
+class list_source final : public daq::message_source {
+public:
+    explicit list_source(emission_list items) : items_(std::move(items)) {}
+    std::optional<daq::timed_message> next() override
+    {
+        if (next_ == items_.size()) return std::nullopt;
+        const auto [at, id] = items_[next_++];
+        return daq::timed_message{sim_time{at}, make_msg(id, 100, id)};
+    }
+
+private:
+    emission_list items_;
+    std::size_t next_{0};
+};
+
+/// (kind, value, time ns): 'p' = a probe saw `value` messages sent so
+/// far, 'd' = message `value` was delivered.
+using event_log = std::vector<std::tuple<char, std::uint64_t, std::int64_t>>;
+
+/// Runs `waves` through one sender from time `start`: via one drive()
+/// per wave, or, as the reference, by scheduling every message up front
+/// the way a plain schedule_at() loop would. An event at `start` puts a
+/// probe at every emission instant. Those probes are scheduled after
+/// the emissions were set up, so at an emission's instant they must see
+/// that emission already sent.
+event_log run_waves(const std::vector<emission_list>& waves, sim_time start, bool reference)
+{
+    mmtp_pair t;
+    auto& e = t.net.sim();
+    event_log log;
+    t.sb->set_data_sink([&](delivered_datagram&& d) {
+        log.emplace_back('d', *d.hdr.timestamp_ns, e.now().ns);
+    });
+    sender tx(*t.sa, t.b->address(), sender_config{});
+    e.run_until(start);
+    e.schedule_at(start, [&] {
+        for (const auto& w : waves)
+            for (const auto& [at, id] : w)
+                e.schedule_at(sim_time{at}, [&] {
+                    log.emplace_back('p', tx.stats().messages, e.now().ns);
+                });
+    });
+    for (const auto& w : waves) {
+        list_source src(w);
+        if (!reference) {
+            EXPECT_EQ(tx.drive(src), w.size());
+            continue;
+        }
+        while (auto tm = src.next())
+            e.schedule_at(tm->at, task_class::protocol,
+                          [&tx, msg = std::move(tm->msg)] { tx.send_message(msg); });
+    }
+    e.run();
+    return log;
+}
+
+std::vector<std::uint64_t> delivered_ids(const event_log& log)
+{
+    std::vector<std::uint64_t> ids;
+    for (const auto& [kind, value, at] : log)
+        if (kind == 'd') ids.push_back(value);
+    return ids;
+}
+
+} // namespace
+
+// drive() keeps one emission pending at a time, yet dispatches exactly
+// like pre-scheduling: probes scheduled at runtime for an emission's
+// very instant still fire after it, including at same-instant ties.
+TEST(mmtp_sender, drive_matches_prescheduled_reference)
+{
+    const std::vector<emission_list> waves{
+        {{1000, 1}, {1000, 2}, {2000, 3}, {2000, 4}, {2000, 5}, {5000, 6}, {8000, 7}}};
+    const auto driven = run_waves(waves, sim_time::zero(), false);
+    EXPECT_EQ(driven, run_waves(waves, sim_time::zero(), true));
+    EXPECT_EQ(delivered_ids(driven), (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7}));
+    // The first probe at 1000 ns runs after both emissions at 1000 ns.
+    ASSERT_FALSE(driven.empty());
+    EXPECT_EQ(driven.front(), (std::tuple<char, std::uint64_t, std::int64_t>{'p', 2, 1000}));
+}
+
+// Two drive() calls on one sender (a second wave, as the chaos drill
+// schedules) interleave with each other exactly as pre-scheduling does.
+TEST(mmtp_sender, two_drives_interleave_like_prescheduled)
+{
+    const std::vector<emission_list> waves{
+        {{1000, 1}, {3000, 2}, {5000, 3}, {7000, 4}, {9000, 5}},
+        {{3000, 11}, {4000, 12}, {5000, 13}, {9000, 14}, {9000, 15}}};
+    const auto driven = run_waves(waves, sim_time::zero(), false);
+    EXPECT_EQ(driven, run_waves(waves, sim_time::zero(), true));
+    EXPECT_EQ(delivered_ids(driven),
+              (std::vector<std::uint64_t>{1, 2, 11, 12, 3, 13, 4, 5, 14, 15}));
+}
+
+// A source out of time order, with times before now(): drive() clamps
+// them to now() and emits in stable (time, source order).
+TEST(mmtp_sender, drive_sorts_and_clamps_like_prescheduled)
+{
+    const std::vector<emission_list> waves{{{9000, 1}, {3000, 2}, {7000, 3}, {0, 4},
+                                            {7000, 5}, {5000, 6}, {12000, 7}, {4000, 8}}};
+    const sim_time start{5000};
+    const auto driven = run_waves(waves, start, false);
+    EXPECT_EQ(driven, run_waves(waves, start, true));
+    EXPECT_EQ(delivered_ids(driven), (std::vector<std::uint64_t>{2, 4, 6, 8, 3, 5, 1, 7}));
+}
+
+// However long the source, a drive() call leaves one pending event.
+TEST(mmtp_sender, drive_keeps_one_emission_pending_per_call)
+{
+    mmtp_pair t;
+    std::uint64_t got = 0;
+    t.sb->set_data_sink([&](delivered_datagram&&) { got++; });
+    sender tx(*t.sa, t.b->address(), sender_config{});
+    const auto experiment = wire::make_experiment_id(6, 0);
+    daq::steady_source src(experiment, 1000, 10_us, sim_time{0}, 10000);
+    EXPECT_EQ(tx.drive(src), 10000u);
+    EXPECT_EQ(t.net.sim().pending(), 1u);
+    daq::steady_source wave2(experiment, 1000, 10_us, sim_time{5000}, 10);
+    EXPECT_EQ(tx.drive(wave2), 10u);
+    EXPECT_EQ(t.net.sim().pending(), 2u);
+    t.net.sim().run();
+    EXPECT_EQ(got, 10010u);
+}
+
 // -------------------------------------------------------------- receiver
 
 namespace {
@@ -283,7 +417,7 @@ struct recovery_rig {
         bcfg.assign_sequence_locally = true;
         svc = std::make_unique<buffer_service>(*s_src, bcfg);
 
-        rcfg.nak_retry = 3_ms;
+        rcfg.timing.retry_base = 3_ms;
         rx = std::make_unique<receiver>(*s_dst, rcfg);
     }
 
@@ -363,8 +497,8 @@ TEST(mmtp_receiver, gives_up_when_buffer_cannot_help)
     buffer_service svc(s_src, bcfg);
 
     receiver_config rcfg;
-    rcfg.nak_retry = 1_ms;
-    rcfg.max_nak_attempts = 3;
+    rcfg.timing.retry_base = 1_ms;
+    rcfg.timing.max_attempts = 3;
     receiver rx(s_dst, rcfg);
     std::vector<std::uint64_t> lost;
     rx.set_on_loss([&](wire::experiment_id, std::uint16_t, std::uint64_t s) {

@@ -360,30 +360,3 @@ TEST(shapeshift, clean_run_never_reconfigures)
     EXPECT_EQ(r.delivered_by_epoch.size(), 1u);
     EXPECT_EQ(r.delivered_by_epoch.count(0), 1u);
 }
-
-// ------------------------------------------------ timing profile aliases
-
-TEST(timing_profile, deprecated_aliases_track_shared_profile)
-{
-    core::receiver_config rc;
-    rc.nak_retry = 7_ms;
-    EXPECT_EQ(rc.timing.retry_base.ns, (7_ms).ns);
-    rc.timing.max_attempts = 9;
-    EXPECT_EQ(rc.max_nak_attempts, 9u);
-
-    // Copies rebind the aliases to their own profile.
-    core::receiver_config copy = rc;
-    copy.nak_retry = 1_ms;
-    EXPECT_EQ(rc.timing.retry_base.ns, (7_ms).ns);
-    EXPECT_EQ(copy.timing.retry_base.ns, (1_ms).ns);
-    EXPECT_EQ(copy.max_nak_attempts, 9u);
-
-    core::sender_config sc;
-    sc.backpressure_hold = 3_ms;
-    EXPECT_EQ(sc.timing.hold.ns, (3_ms).ns);
-    core::sender_config sc2;
-    sc2 = sc;
-    sc2.timing.hold = 4_ms;
-    EXPECT_EQ(sc2.backpressure_hold.ns, (4_ms).ns);
-    EXPECT_EQ(sc.backpressure_hold.ns, (3_ms).ns);
-}

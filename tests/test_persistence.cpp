@@ -204,9 +204,9 @@ TEST(persistence_service, nak_repair_served_from_archive_after_revive)
     buffer_service svc(s_primary, pcfg);
 
     receiver_config rcfg;
-    rcfg.nak_retry = 3_ms;
-    rcfg.max_nak_attempts = 6;
-    rcfg.failover_attempts = 0;
+    rcfg.timing.retry_base = 3_ms;
+    rcfg.timing.max_attempts = 6;
+    rcfg.timing.failover_attempts = 0;
     receiver rx(s_dst, rcfg);
 
     constexpr std::uint64_t n = 200;
@@ -281,9 +281,9 @@ TEST(persistence_service, unsealed_tail_loss_is_bounded_and_accounted)
     buffer_service svc(s_primary, pcfg);
 
     receiver_config rcfg;
-    rcfg.nak_retry = 3_ms;
-    rcfg.max_nak_attempts = 6;
-    rcfg.failover_attempts = 0;
+    rcfg.timing.retry_base = 3_ms;
+    rcfg.timing.max_attempts = 6;
+    rcfg.timing.failover_attempts = 0;
     receiver rx(s_dst, rcfg);
 
     constexpr std::uint64_t n = 200;
@@ -372,10 +372,10 @@ struct hook_rig {
         tap = std::make_unique<buffer_service>(*s_secondary, scfg);
 
         receiver_config rcfg;
-        rcfg.nak_retry = 3_ms;
-        rcfg.nak_retry_cap = 40_ms;
-        rcfg.max_nak_attempts = 8;
-        rcfg.failover_attempts = 2;
+        rcfg.timing.retry_base = 3_ms;
+        rcfg.timing.retry_cap = 40_ms;
+        rcfg.timing.max_attempts = 8;
+        rcfg.timing.failover_attempts = 2;
         rx = std::make_unique<receiver>(*s_dst, rcfg);
         s_dst->set_advert_handler([this](const wire::buffer_advert_body& a) {
             if (a.secondary_addr != 0) rx->set_fallback_buffer(a.secondary_addr);

@@ -119,8 +119,8 @@ TEST(pilot_properties, duplicates_suppressed_under_spurious_nak_retry)
     // NOTE: receiver was built by make_pilot with the policy-suggested
     // retry; rebuild it with a too-short retry.
     core::receiver_config rcfg;
-    rcfg.nak_retry = 2_ms; // << 20 ms buffer RTT: guaranteed spurious NAKs
-    rcfg.max_nak_attempts = 50;
+    rcfg.timing.retry_base = 2_ms; // << 20 ms buffer RTT: guaranteed spurious NAKs
+    rcfg.timing.max_attempts = 50;
     tb->dtn2_rx = std::make_unique<core::receiver>(*tb->dtn2_stack, rcfg);
 
     daq::iceberg_stream::config scfg;

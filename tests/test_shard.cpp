@@ -131,6 +131,21 @@ TEST(barrier_scheduler, cancellation_is_generation_checked)
     EXPECT_TRUE(ctl.empty());
 }
 
+// A reserved number orders its task exactly as the engine's does: after
+// tasks scheduled before the reservation, before those scheduled after.
+TEST(barrier_scheduler, reserved_seq_keeps_its_insertion_position)
+{
+    barrier_scheduler ctl;
+    std::vector<int> order;
+    ctl.schedule_at(sim_time{100}, [&] { order.push_back(0); });
+    const std::uint64_t seq = ctl.reserve_seq(1);
+    ctl.schedule_at(sim_time{100}, [&] { order.push_back(2); });
+    ctl.schedule_reserved(sim_time{100}, seq, task_class::control,
+                          [&] { order.push_back(1); });
+    EXPECT_EQ(ctl.run_due(sim_time{100}), 3u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 // -------------------------------------------- epoch-boundary edge cases
 
 // A cut link's propagation delay is the conservative lookahead; zero

@@ -46,7 +46,7 @@ struct sliced_rig {
         bcfg.assign_sequence_locally = true;
         svc = std::make_unique<buffer_service>(*s_src, bcfg);
         receiver_config rcfg;
-        rcfg.nak_retry = 3_ms;
+        rcfg.timing.retry_base = 3_ms;
         rx = std::make_unique<receiver>(*s_dst, rcfg);
     }
 
