@@ -5,7 +5,17 @@
 // downstream receivers can recover loss from a *nearby* buffer instead of
 // the source (§5.3's generalization of X.25 hop-by-hop behaviour, "closer
 // to short-term publish-subscribe"). Entries age out by retention time
-// and total capacity, newest kept.
+// and total capacity, oldest stored first.
+//
+// Layout (DESIGN.md §14, "The repair path holds no trees"): one record
+// stream per (experiment, epoch), a deque of slots in ascending sequence
+// order. DAQ sequences arrive in order, so a store appends at the back
+// and a lookup finds `seq` at index `seq - front.seq`; anything else
+// falls back to a binary search. Memory follows the stored records, not
+// the sequence span: seq 0 and seq 2^47 are two slots. One FIFO of
+// (stream, sequence, ticket) entries gives the eviction order; every
+// store takes a fresh ticket, so an entry whose slot has since been
+// evicted or re-stored no longer matches and is skipped.
 #pragma once
 
 #include "common/units.hpp"
@@ -13,8 +23,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace mmtp::dtn {
@@ -48,8 +58,9 @@ class retransmission_buffer {
 public:
     explicit retransmission_buffer(buffer_config cfg = {}) : cfg_(cfg) {}
 
-    /// Stores a datagram (replacing any same-key entry), then evicts by
-    /// retention and capacity.
+    /// Stores a datagram, then evicts by retention and capacity. A
+    /// same-key entry is replaced; the replacement ages and waits its
+    /// eviction turn from `now`.
     void store(buffered_datagram d, sim_time now);
 
     /// Looks up one datagram; counts hit/miss.
@@ -57,7 +68,8 @@ public:
                                            std::uint16_t epoch, std::uint64_t sequence,
                                            sim_time now);
 
-    /// All stored datagrams in [first, last] for (experiment, epoch).
+    /// All stored datagrams in [first, last] for (experiment, epoch). Walks
+    /// the stored records from `first` on, never the requested span.
     std::vector<buffered_datagram> fetch_range(wire::experiment_id experiment,
                                                std::uint16_t epoch, std::uint64_t first,
                                                std::uint64_t last, sim_time now);
@@ -67,23 +79,45 @@ public:
     void sweep(sim_time now) { evict(now); }
 
     std::uint64_t bytes_used() const { return bytes_; }
-    std::size_t entries() const { return by_key_.size(); }
+    std::size_t entries() const { return entries_; }
     const buffer_stats& stats() const { return stats_; }
     const buffer_config& config() const { return cfg_; }
 
 private:
-    struct key {
-        wire::experiment_id experiment;
-        std::uint16_t epoch;
+    /// A stored record, or (ticket 0) a tombstone: an evicted record
+    /// behind a live one keeps its sequence so the stream stays sorted.
+    struct slot {
+        std::uint64_t ticket{0};
+        buffered_datagram d;
+    };
+    /// Slots of one (experiment, epoch), ascending by sequence. The front
+    /// slot is always live; tombstones never outnumber live slots.
+    struct stream {
+        std::deque<slot> slots;
+        std::size_t live{0};
+        std::uint64_t key{0}; // packed (experiment, epoch)
+    };
+    /// One store, in store order.
+    struct fifo_entry {
+        std::uint32_t stream;
         std::uint64_t sequence;
-        auto operator<=>(const key&) const = default;
+        std::uint64_t ticket;
     };
 
+    /// Index of the first slot whose sequence is >= seq.
+    static std::size_t seek(const std::deque<slot>& slots, std::uint64_t seq);
+    const stream* find_stream(wire::experiment_id experiment, std::uint16_t epoch) const;
+    /// Lookup-or-create; returns the stream's index in streams_.
+    std::uint32_t stream_for(wire::experiment_id experiment, std::uint16_t epoch);
     void evict(sim_time now);
 
     buffer_config cfg_;
-    std::map<key, buffered_datagram> by_key_;
-    std::deque<key> fifo_; // insertion order for eviction
+    std::deque<stream> streams_; // a deque: growing never copies a stream's slots
+    std::vector<std::uint32_t> free_streams_; // indices of released streams
+    std::unordered_map<std::uint64_t, std::uint32_t> stream_ids_;
+    std::deque<fifo_entry> fifo_; // store order, for eviction
+    std::uint64_t next_ticket_{0};
+    std::size_t entries_{0};
     std::uint64_t bytes_{0};
     buffer_stats stats_;
 };

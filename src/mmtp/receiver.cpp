@@ -140,12 +140,18 @@ void receiver::on_data(delivered_datagram&& d)
         st.received.insert(s, s + 1);
         if (s + 1 > st.highest) st.highest = s + 1;
         st.base = st.received.next_missing(st.base);
-        // Drop gap records that are now fully resolved.
-        for (auto it = st.gaps.begin(); it != st.gaps.end();) {
-            if (it->first < st.base || st.received.covers(it->first, it->first + 1))
-                it = st.gaps.erase(it);
-            else
-                ++it;
+        // Drop the gap records this arrival resolved. After the last
+        // arrival every record was >= base and unreceived, and only the
+        // new base and s can change that — unless a give-up has since
+        // marked recorded keys received, which takes a full filter.
+        if (st.gave_up) {
+            std::erase_if(st.gaps, [&](const auto& g) {
+                return g.first < st.base || st.received.covers(g.first, g.first + 1);
+            });
+            st.gave_up = false;
+        } else {
+            st.gaps.erase(st.gaps.begin(), st.gaps.lower_bound(st.base));
+            st.gaps.erase(s);
         }
 
         if (st.base < st.highest) {
@@ -276,6 +282,7 @@ void receiver::run_check(const stream_key& k)
             if (on_loss_)
                 for (std::uint64_t s = a; s < b; ++s) on_loss_(k.experiment, k.epoch, s);
             st.received.insert(a, b);
+            st.gave_up = true; // its record goes at the next arrival
             continue;
         }
         const bool due = g.last_nak == sim_time::zero()

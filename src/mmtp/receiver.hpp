@@ -7,7 +7,9 @@
 // NAKs to the retransmission-buffer address carried in the header — the
 // pilot's "DTN 2 uses this information to detect loss and prepare a NAK
 // to restore the missing packets" (§5.4). It also performs the
-// destination timeliness check (pilot mode 3).
+// destination timeliness check (pilot mode 3). An arrival costs
+// O(log g) in the stream's g open gap records; only the first arrival
+// after a give-up filters them all (DESIGN.md §14).
 #pragma once
 
 #include "common/histogram.hpp"
@@ -143,7 +145,11 @@ private:
         std::uint64_t highest{0};  // highest sequence seen + 1
         wire::ipv4_addr buffer_addr{0};
         bool failed_over{false};   // NAKs now target the fallback buffer
-        std::map<std::uint64_t, gap_state> gaps; // keyed by gap start
+        // Keyed by gap start. After each arrival every record's key is
+        // >= base and not yet received.
+        std::map<std::uint64_t, gap_state> gaps;
+        // A give-up since the last arrival marked recorded keys received.
+        bool gave_up{false};
         bool check_scheduled{false};
         // Pending gap-check timer: cancelled when data closes every gap
         // before the grace period ends (the check would fire dead).

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <random>
+
 using namespace mmtp;
 using namespace mmtp::dtn;
 using namespace mmtp::literals;
@@ -106,4 +110,272 @@ TEST(buffer, peak_bytes_tracked)
     buf.store(make_entry(1, 3000), sim_time{0});
     buf.store(make_entry(2, 1000), sim_time{0});
     EXPECT_EQ(buf.stats().peak_bytes, 4000u);
+}
+
+// A same-key re-store is the newest record: its first FIFO turn must not
+// stand in for it.
+TEST(buffer, restore_does_not_stall_retention)
+{
+    buffer_config cfg;
+    cfg.retention = 1_s;
+    retransmission_buffer buf(cfg);
+    buf.store(make_entry(1), sim_time{0});
+    buf.store(make_entry(2), sim_time{(100_ms).ns});
+    buf.store(make_entry(1), sim_time{(500_ms).ns});
+    // At 1.2 s seq 2 is 1.1 s old; the re-stored seq 1 is 0.7 s old.
+    EXPECT_FALSE(buf.fetch(42, 0, 2, sim_time{(1200_ms).ns}).has_value());
+    EXPECT_TRUE(buf.fetch(42, 0, 1, sim_time{(1200_ms).ns}).has_value());
+    EXPECT_EQ(buf.stats().evicted_retention, 1u);
+    EXPECT_EQ(buf.entries(), 1u);
+}
+
+TEST(buffer, restore_then_capacity_evicts_oldest_store)
+{
+    buffer_config cfg;
+    cfg.capacity_bytes = 2500;
+    retransmission_buffer buf(cfg);
+    buf.store(make_entry(1), sim_time{0});
+    buf.store(make_entry(2), sim_time{0});
+    buf.store(make_entry(1), sim_time{0});
+    buf.store(make_entry(3), sim_time{0}); // 3000 bytes: seq 2 is the oldest store
+    EXPECT_TRUE(buf.fetch(42, 0, 1, sim_time{0}).has_value());
+    EXPECT_FALSE(buf.fetch(42, 0, 2, sim_time{0}).has_value());
+    EXPECT_TRUE(buf.fetch(42, 0, 3, sim_time{0}).has_value());
+    EXPECT_EQ(buf.stats().evicted_capacity, 1u);
+    EXPECT_EQ(buf.bytes_used(), 2000u);
+}
+
+TEST(buffer, sparse_stream_is_two_records)
+{
+    constexpr std::uint64_t far = 1ull << 47;
+    retransmission_buffer buf;
+    buf.store(make_entry(0), sim_time{0});
+    buf.store(make_entry(far), sim_time{0});
+    const auto got = buf.fetch_range(42, 0, 0, (1ull << 48) - 1, sim_time{0});
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].sequence, 0u);
+    EXPECT_EQ(got[1].sequence, far);
+    EXPECT_TRUE(buf.fetch(42, 0, far, sim_time{0}).has_value());
+    EXPECT_FALSE(buf.fetch(42, 0, far - 1, sim_time{0}).has_value());
+    EXPECT_EQ(buf.entries(), 2u);
+}
+
+namespace {
+
+/// The ordered-map buffer the sequence-indexed one replaced, with the
+/// same ticket rule: a FIFO entry is live only while its key holds the
+/// record stored under that entry's ticket.
+class reference_buffer {
+public:
+    explicit reference_buffer(buffer_config cfg) : cfg_(cfg) {}
+
+    void store(buffered_datagram d, sim_time now)
+    {
+        const key k{d.experiment, d.epoch, d.sequence};
+        auto it = by_key_.find(k);
+        if (it != by_key_.end()) {
+            bytes_ -= it->second.d.size_bytes;
+            by_key_.erase(it);
+        }
+        d.stored_at = now;
+        bytes_ += d.size_bytes;
+        stats_.stored++;
+        if (bytes_ > stats_.peak_bytes) stats_.peak_bytes = bytes_;
+        by_key_[k] = {std::move(d), ++next_ticket_};
+        fifo_.push_back({k, next_ticket_});
+        evict(now);
+    }
+
+    std::optional<buffered_datagram> fetch(wire::experiment_id experiment,
+                                           std::uint16_t epoch, std::uint64_t sequence,
+                                           sim_time now)
+    {
+        evict(now);
+        auto it = by_key_.find(key{experiment, epoch, sequence});
+        if (it == by_key_.end()) {
+            stats_.misses++;
+            return std::nullopt;
+        }
+        stats_.hits++;
+        return it->second.d;
+    }
+
+    std::vector<buffered_datagram> fetch_range(wire::experiment_id experiment,
+                                               std::uint16_t epoch, std::uint64_t first,
+                                               std::uint64_t last, sim_time now)
+    {
+        evict(now);
+        std::vector<buffered_datagram> out;
+        for (auto it = by_key_.lower_bound(key{experiment, epoch, first});
+             it != by_key_.end(); ++it) {
+            if (it->first.experiment != experiment || it->first.epoch != epoch) break;
+            if (it->first.sequence > last) break;
+            stats_.hits++;
+            out.push_back(it->second.d);
+        }
+        if (out.empty()) stats_.misses++;
+        return out;
+    }
+
+    void sweep(sim_time now) { evict(now); }
+
+    std::uint64_t bytes_used() const { return bytes_; }
+    std::size_t entries() const { return by_key_.size(); }
+    const buffer_stats& stats() const { return stats_; }
+
+private:
+    struct key {
+        wire::experiment_id experiment;
+        std::uint16_t epoch;
+        std::uint64_t sequence;
+        auto operator<=>(const key&) const = default;
+    };
+    struct record {
+        buffered_datagram d;
+        std::uint64_t ticket;
+    };
+
+    void evict(sim_time now)
+    {
+        while (!fifo_.empty()) {
+            const auto [k, ticket] = fifo_.front();
+            auto it = by_key_.find(k);
+            if (it == by_key_.end() || it->second.ticket != ticket) {
+                fifo_.pop_front();
+                continue;
+            }
+            const bool too_old = (now - it->second.d.stored_at).ns > cfg_.retention.ns;
+            const bool over_capacity = bytes_ > cfg_.capacity_bytes;
+            if (!too_old && !over_capacity) break;
+            bytes_ -= it->second.d.size_bytes;
+            if (too_old)
+                stats_.evicted_retention++;
+            else
+                stats_.evicted_capacity++;
+            by_key_.erase(it);
+            fifo_.pop_front();
+        }
+    }
+
+    buffer_config cfg_;
+    std::map<key, record> by_key_;
+    std::deque<std::pair<key, std::uint64_t>> fifo_;
+    std::uint64_t next_ticket_{0};
+    std::uint64_t bytes_{0};
+    buffer_stats stats_;
+};
+
+void expect_same(const buffered_datagram& got, const buffered_datagram& want)
+{
+    EXPECT_EQ(got.sequence, want.sequence);
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(got.experiment, want.experiment);
+    EXPECT_EQ(got.timestamp_ns, want.timestamp_ns);
+    EXPECT_EQ(got.size_bytes, want.size_bytes);
+    EXPECT_EQ(got.inline_payload, want.inline_payload);
+    EXPECT_EQ(got.stored_at.ns, want.stored_at.ns);
+}
+
+void expect_same_state(const retransmission_buffer& got, const reference_buffer& want)
+{
+    EXPECT_EQ(got.stats().stored, want.stats().stored);
+    EXPECT_EQ(got.stats().evicted_capacity, want.stats().evicted_capacity);
+    EXPECT_EQ(got.stats().evicted_retention, want.stats().evicted_retention);
+    EXPECT_EQ(got.stats().hits, want.stats().hits);
+    EXPECT_EQ(got.stats().misses, want.stats().misses);
+    EXPECT_EQ(got.stats().peak_bytes, want.stats().peak_bytes);
+    EXPECT_EQ(got.entries(), want.entries());
+    EXPECT_EQ(got.bytes_used(), want.bytes_used());
+}
+
+/// Drives both buffers through one seeded random mix of appends,
+/// replacements, out-of-order and sparse stores, fetches, range fetches
+/// and sweeps over six streams, comparing after every operation.
+void run_differential(std::uint64_t seed, buffer_config cfg, int ops)
+{
+    constexpr std::uint64_t max_seq = (1ull << 48) - 1;
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+    retransmission_buffer got(cfg);
+    reference_buffer want(cfg);
+    std::vector<std::vector<std::uint64_t>> stored(6); // per stream, for re-stores
+    std::vector<std::uint64_t> next(6, 0);
+    sim_time now{0};
+
+    for (int op = 0; op < ops; ++op) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " op " + std::to_string(op));
+        now.ns += static_cast<std::int64_t>(pick(2000));
+        const auto st = pick(6);
+        const auto experiment = static_cast<wire::experiment_id>(1 + st / 2);
+        const auto epoch = static_cast<std::uint16_t>(st % 2);
+        auto& seqs = stored[st];
+        auto known = [&] { return seqs.empty() ? pick(64) : seqs[pick(seqs.size())]; };
+        const auto roll = pick(100);
+
+        if (roll < 60) {
+            std::uint64_t seq = 0;
+            if (roll < 40 || seqs.empty()) {
+                seq = next[st]; // in order
+            } else if (roll < 48) {
+                seq = known(); // same-key re-store
+            } else if (roll < 56) {
+                seq = next[st] > 0 ? pick(next[st]) : 0; // out of order
+            } else {
+                seq = next[st] + pick(max_seq - next[st] + 1); // sparse jump
+            }
+            if (seq >= next[st]) next[st] = seq < max_seq ? seq + 1 : max_seq;
+            seqs.push_back(seq);
+            auto d = make_entry(seq, 100 + static_cast<std::uint32_t>(pick(1900)),
+                                experiment, epoch);
+            d.inline_payload.assign(pick(4), static_cast<std::uint8_t>(op));
+            got.store(d, now);
+            want.store(std::move(d), now);
+        } else if (roll < 80) {
+            const auto seq = known();
+            const auto a = got.fetch(experiment, epoch, seq, now);
+            const auto b = want.fetch(experiment, epoch, seq, now);
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) expect_same(*a, *b);
+        } else if (roll < 95) {
+            std::uint64_t first = known();
+            std::uint64_t last = first + pick(64);
+            if (roll >= 92) {
+                first = 0;
+                last = max_seq;
+            }
+            const auto a = got.fetch_range(experiment, epoch, first, last, now);
+            const auto b = want.fetch_range(experiment, epoch, first, last, now);
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) expect_same(a[i], b[i]);
+        } else {
+            got.sweep(now);
+            want.sweep(now);
+        }
+        expect_same_state(got, want);
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+} // namespace
+
+TEST(buffer, matches_reference_model_under_tight_retention)
+{
+    buffer_config cfg;
+    cfg.retention = sim_duration{40000}; // about 40 operations
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) run_differential(seed, cfg, 20000);
+}
+
+TEST(buffer, matches_reference_model_under_tight_capacity)
+{
+    buffer_config cfg;
+    cfg.capacity_bytes = 30000; // about 30 records
+    for (std::uint64_t seed = 11; seed <= 14; ++seed) run_differential(seed, cfg, 20000);
+}
+
+TEST(buffer, matches_reference_model_under_both_limits)
+{
+    buffer_config cfg;
+    cfg.retention = sim_duration{200000};
+    cfg.capacity_bytes = 60000;
+    for (std::uint64_t seed = 21; seed <= 24; ++seed) run_differential(seed, cfg, 20000);
 }

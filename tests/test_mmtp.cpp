@@ -534,6 +534,93 @@ TEST(mmtp_receiver, gives_up_when_buffer_cannot_help)
     EXPECT_GT(svc.stats().unavailable, 0u);
 }
 
+namespace {
+
+/// Sends one sequenced datagram of experiment 6, epoch 0, a→b, naming a
+/// as its retransmission buffer (a answers no NAK).
+void send_seq(mmtp_pair& t, std::uint64_t seq)
+{
+    wire::header h;
+    h.experiment = wire::make_experiment_id(6, 0);
+    h.m.set(wire::feature::sequencing).set(wire::feature::retransmission);
+    h.sequencing = wire::sequencing_field{seq, 0};
+    h.retransmission = wire::retransmission_field{t.a->address()};
+    t.sa->send_datagram(t.b->address(), h, {}, 100);
+}
+
+} // namespace
+
+TEST(mmtp_receiver, many_open_gaps_filled_in_reverse_order)
+{
+    mmtp_pair t;
+    receiver rx(*t.sb);
+    // Even sequences 0..2000 leave 1000 one-sequence gaps, 1..1999.
+    for (std::uint64_t s = 0; s <= 2000; s += 2) send_seq(t, s);
+    t.net.sim().run_until(sim_time{(20_ms).ns});
+    EXPECT_EQ(rx.outstanding_gaps(), 1000u);
+    EXPECT_GE(rx.stats().nak_ranges_sent, 1000u); // every gap NAKed at least once
+    EXPECT_EQ(rx.stats().given_up, 0u);
+    // The repairs arrive highest first, each into its own gap record.
+    for (std::uint64_t s = 2000; s > 0; s -= 2) send_seq(t, s - 1);
+    t.net.sim().run();
+    EXPECT_EQ(rx.stats().datagrams, 2001u);
+    EXPECT_EQ(rx.stats().recovered, 1000u);
+    EXPECT_EQ(rx.stats().duplicates, 0u);
+    EXPECT_EQ(rx.stats().given_up, 0u);
+    EXPECT_EQ(rx.stats().recovery_latency_us.count(), 1000u);
+    EXPECT_EQ(rx.outstanding_gaps(), 0u);
+}
+
+// Characterizes when a given-up gap's record goes: not at the give-up but
+// at the stream's next arrival. Until then the record still takes credit
+// for recoveries above it, and keeps a finished stream from retiring.
+TEST(mmtp_receiver, given_up_gap_record_lives_until_next_arrival)
+{
+    link_config fast;
+    fast.propagation = 10_us;
+    mmtp_pair t(fast);
+    receiver_config rcfg;
+    rcfg.timing.retry_base = 1_ms;
+    rcfg.timing.retry_cap = sim_duration{0};
+    rcfg.timing.max_attempts = 3;
+    receiver rx(*t.sb, rcfg);
+    auto at = [&](sim_duration when, std::vector<std::uint64_t> seqs) {
+        t.net.sim().schedule_at(sim_time{when.ns}, [&t, seqs] {
+            for (auto s : seqs) send_seq(t, s);
+        });
+    };
+
+    // Gaps [1,4) and [5,6), both NAKed from ~0.2 ms. Repairing seq 1
+    // leaves [2,4), re-recorded at the next check with a fresh budget, so
+    // the record for 5 runs out first: given up at ~4.2 ms, while the
+    // record for 2 is still open.
+    at(sim_duration{0}, {0, 4, 6});
+    at(500_us, {1});
+    // Before the next check: 2 fills its record and leaves [3,4) without
+    // one; 9 opens [7,9), also without one; then 8 lands in it. The only
+    // record below 8 would be the given-up one for 5 — gone since 2.
+    at(5_ms, {2, 9, 8});
+    t.net.sim().run_until(sim_time{(6_ms).ns});
+    EXPECT_EQ(rx.stats().given_up, 1u);
+    EXPECT_EQ(rx.stats().recovered, 2u);
+
+    // [3,4) and [7,8) are then given up too, by the last check: the
+    // stream is complete, but its last event was a give-up.
+    t.net.sim().run();
+    EXPECT_EQ(rx.stats().given_up, 3u);
+    EXPECT_EQ(rx.outstanding_gaps(), 0u);
+    EXPECT_EQ(rx.prune_idle(sim_duration{0}), 0u);
+    EXPECT_EQ(rx.stats().streams_retired, 0u);
+
+    // The next arrival drops the given-up records; now it retires.
+    send_seq(t, 10);
+    t.net.sim().run();
+    EXPECT_EQ(rx.prune_idle(sim_duration{0}), 1u);
+    EXPECT_EQ(rx.stats().streams_retired, 1u);
+    EXPECT_EQ(rx.stats().recovered, 2u);
+    EXPECT_EQ(rx.stats().duplicates, 0u);
+}
+
 TEST(mmtp_receiver, duplicate_datagrams_counted_not_delivered_twice)
 {
     mmtp_pair t;
