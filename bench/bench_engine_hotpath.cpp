@@ -224,7 +224,6 @@ struct injector {
             p.headers = header_template; // 64 real header bytes, SBO-sized
             p.virtual_payload = 800;
             const sim_time at = now + sim_duration{static_cast<std::int64_t>(b) * period.ns};
-            p.created = at;
             if (burst > 1)
                 out.send_at(at, std::move(p));
             else
@@ -328,7 +327,6 @@ struct shard_injector {
         p.id = ids->next();
         p.headers = header_template;
         p.virtual_payload = 800;
-        p.created = eng->now();
         src->egress(0).send(std::move(p));
         if (--left > 0) eng->schedule_in(period, [this] { fire(); });
     }

@@ -39,9 +39,11 @@ wire::header mode1_header()
     return h;
 }
 
-std::vector<std::uint8_t> mode1_packet_bytes()
+small_bytes mode1_packet_bytes()
 {
-    return wire::build_mmtp_over_ipv4(0x02, 0x0a000001, 0x0a000003, mode1_header(), 5632);
+    small_bytes out;
+    wire::build_mmtp_over_ipv4(out, 0x02, 0x0a000001, 0x0a000003, mode1_header(), 5632);
+    return out;
 }
 
 void bm_header_parse(benchmark::State& state)
@@ -102,7 +104,8 @@ void bm_element_mode_transition(benchmark::State& state)
     h.experiment = wire::make_experiment_id(wire::experiments::iceberg, 0);
     h.m.set(wire::feature::timestamped);
     h.timestamp_ns = 42;
-    const auto bytes = wire::build_mmtp_over_ipv4(0x02, 1, 2, h, 5632);
+    small_bytes bytes;
+    wire::build_mmtp_over_ipv4(bytes, 0x02, 1, 2, h, 5632);
 
     for (auto _ : state) {
         pnet::packet_context ctx;

@@ -9,17 +9,23 @@ void interval_set::insert(std::uint64_t start, std::uint64_t end)
     auto it = m_.upper_bound(start);
     if (it != m_.begin()) {
         auto prev = std::prev(it);
-        if (prev->second >= start) { // overlaps or touches on the left
-            start = prev->first;
-            if (prev->second > end) end = prev->second;
-            it = m_.erase(prev);
+        if (prev->second >= start) {
+            // Overlaps or touches on the left: grow that node in place (an
+            // in-order arrival extends the last interval without a node
+            // erase and re-insert), then absorb on the right.
+            if (end > prev->second) prev->second = end;
+            while (it != m_.end() && it->first <= prev->second) {
+                if (it->second > prev->second) prev->second = it->second;
+                it = m_.erase(it);
+            }
+            return;
         }
     }
     while (it != m_.end() && it->first <= end) { // absorb on the right
         if (it->second > end) end = it->second;
         it = m_.erase(it);
     }
-    m_[start] = end;
+    m_.emplace_hint(it, start, end);
 }
 
 void interval_set::erase(std::uint64_t start, std::uint64_t end)

@@ -1,14 +1,22 @@
 // small_bytes.hpp — byte buffer with inline small-buffer storage.
 //
-// Serialized protocol headers in this library are short (Ethernet + IPv4
-// + MMTP tops out around 60 bytes), yet the simulator used to keep them
-// in std::vector — one heap allocation per packet plus a pointer chase on
-// every parse. small_bytes stores up to `inline_capacity` bytes directly
-// inside the object (so a packet's header bytes travel with the packet
-// through queues and event closures without touching the heap) and spills
-// to the heap only for oversized buffers. The API is the subset of
-// std::vector<uint8_t> the codebase uses; it converts implicitly to
-// std::span via the ranges constructor.
+// Serialized protocol headers in this library are short: the largest
+// stack the wire layer builds is Ethernet + IPv4 + an all-features MMTP
+// header, 81 bytes, and the soak's data stacks are 76. Keeping them in a
+// std::vector would cost one heap allocation per packet plus a pointer
+// chase on every parse. small_bytes stores up to `inline_capacity` bytes
+// inside the object, so a packet's header bytes travel with the packet
+// through queues and event closures without touching the heap, and
+// spills to the heap only for oversized buffers.
+//
+// Layout (104 bytes): the data pointer, 32-bit size and capacity, then
+// the inline bytes. The pointer stays even while inline, so data() is a
+// plain load with no inline/heap branch on every field write.
+//
+// The API is the subset of std::vector<uint8_t> the codebase uses plus
+// extend() (the byte_sink interface the header serializers write
+// through); it converts implicitly to std::span via the ranges
+// constructor.
 #pragma once
 
 #include <cstdint>
@@ -16,16 +24,19 @@
 #include <cstring>
 #include <initializer_list>
 #include <iterator>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace mmtp {
 
 class small_bytes {
 public:
-    /// Largest buffer stored without allocating. Covers every real
-    /// header stack the wire layer builds (see wire::max_header_size).
-    static constexpr std::size_t inline_capacity = 64;
+    /// Largest buffer stored without allocating. Covers every header
+    /// stack the wire layer builds (checked where wire::max_header_size
+    /// is known, in wire/build.hpp).
+    static constexpr std::size_t inline_capacity = 88;
 
     small_bytes() noexcept : data_(sbo_), size_(0), cap_(inline_capacity) {}
 
@@ -117,21 +128,26 @@ public:
     {
         if (n > cap_) grow(n);
         if (n > size_) std::memset(data_ + size_, 0, n - size_);
-        size_ = n;
+        size_ = static_cast<std::uint32_t>(n);
     }
 
-    void push_back(std::uint8_t b)
+    /// Appends `n` bytes for the caller to fill (their contents are
+    /// unspecified) and returns where they start: the byte_sink
+    /// interface the header serializers write through.
+    std::uint8_t* extend(std::size_t n)
     {
-        if (size_ == cap_) grow(size_ + 1);
-        data_[size_++] = b;
+        if (n > cap_ - size_) grow(std::size_t{size_} + n);
+        std::uint8_t* at = data_ + size_;
+        size_ += static_cast<std::uint32_t>(n);
+        return at;
     }
+
+    void push_back(std::uint8_t b) { *extend(1) = b; }
 
     /// Appends `n` bytes; `src` must not alias this buffer.
     void append(const std::uint8_t* src, std::size_t n)
     {
-        if (size_ + n > cap_) grow(size_ + n);
-        std::memcpy(data_ + size_, src, n);
-        size_ += n;
+        if (n > 0) std::memcpy(extend(n), src, n);
     }
 
     void append(std::span<const std::uint8_t> src) { append(src.data(), src.size()); }
@@ -143,12 +159,12 @@ public:
     {
         const std::size_t at = static_cast<std::size_t>(pos - data_);
         const std::size_t n = static_cast<std::size_t>(std::distance(first, last));
-        if (size_ + n > cap_) grow(size_ + n);
+        if (n > cap_ - size_) grow(std::size_t{size_} + n);
         std::memmove(data_ + at + n, data_ + at, size_ - at);
         std::uint8_t* out = data_ + at;
         for (std::uint8_t* d = out; first != last; ++first, ++d)
             *d = static_cast<std::uint8_t>(*first);
-        size_ += n;
+        size_ += static_cast<std::uint32_t>(n);
         return out;
     }
 
@@ -170,11 +186,14 @@ public:
     }
 
 private:
+    /// Size and capacity are 32-bit, which keeps the object at 104 bytes.
+    static constexpr std::size_t max_bytes = std::numeric_limits<std::uint32_t>::max();
+
     void assign(const std::uint8_t* src, std::size_t n)
     {
         if (n > cap_) grow_discard(n);
-        std::memcpy(data_, src, n);
-        size_ = n;
+        if (n > 0) std::memcpy(data_, src, n);
+        size_ = static_cast<std::uint32_t>(n);
     }
 
     void steal(small_bytes& o) noexcept
@@ -193,31 +212,36 @@ private:
         }
     }
 
+    static std::size_t grown_capacity(std::size_t cap, std::size_t need)
+    {
+        if (need > max_bytes) throw std::length_error("small_bytes: buffer too large");
+        cap = cap * 2 > max_bytes ? max_bytes : cap * 2;
+        return cap < need ? need : cap;
+    }
+
     void grow(std::size_t need)
     {
-        std::size_t cap = cap_ * 2;
-        if (cap < need) cap = need;
+        const std::size_t cap = grown_capacity(cap_, need);
         auto* nd = new std::uint8_t[cap];
         std::memcpy(nd, data_, size_);
         if (data_ != sbo_) delete[] data_;
         data_ = nd;
-        cap_ = cap;
+        cap_ = static_cast<std::uint32_t>(cap);
     }
 
     void grow_discard(std::size_t need)
     {
-        std::size_t cap = cap_ * 2;
-        if (cap < need) cap = need;
+        const std::size_t cap = grown_capacity(cap_, need);
         auto* nd = new std::uint8_t[cap];
         if (data_ != sbo_) delete[] data_;
         data_ = nd;
-        cap_ = cap;
+        cap_ = static_cast<std::uint32_t>(cap);
     }
 
     std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t cap_;
-    alignas(8) std::uint8_t sbo_[inline_capacity];
+    std::uint32_t size_;
+    std::uint32_t cap_;
+    std::uint8_t sbo_[inline_capacity];
 };
 
 } // namespace mmtp

@@ -11,7 +11,7 @@ constexpr const char* journal_prefix = "seq.";
 
 std::vector<std::uint8_t> encode_payload(const buffered_datagram& d)
 {
-    byte_writer w;
+    byte_writer w(2 + d.inline_payload.size());
     w.u16(d.epoch);
     w.bytes(d.inline_payload);
     return w.take();

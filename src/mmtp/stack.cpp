@@ -114,13 +114,11 @@ std::uint64_t stack::send_datagram(wire::ipv4_addr dst, const wire::header& h,
                                    std::uint64_t extra_virtual)
 {
     netsim::packet p;
-    p.headers = wire::build_mmtp_over_ipv4(host_.mac(), host_.address(), dst, h,
-                                           payload.size() + extra_virtual);
+    wire::build_mmtp_over_ipv4(p.headers, host_.mac(), host_.address(), dst, h,
+                               payload.size() + extra_virtual);
     p.payload = std::move(payload);
     p.virtual_payload = extra_virtual;
     p.id = ids_.next();
-    p.created = host_.sim().now();
-    p.flow_id = h.experiment;
     const auto id = p.id;
     stats_.sent++;
     host_.send_ipv4(std::move(p), dst);
@@ -132,12 +130,10 @@ std::uint64_t stack::send_datagram_l2(unsigned port, const wire::header& h,
                                       std::uint64_t extra_virtual)
 {
     netsim::packet p;
-    p.headers = wire::build_mmtp_over_l2(host_.mac(), /*dst_mac=*/0, h);
+    wire::build_mmtp_over_l2(p.headers, host_.mac(), /*dst_mac=*/0, h);
     p.payload = std::move(payload);
     p.virtual_payload = extra_virtual;
     p.id = ids_.next();
-    p.created = host_.sim().now();
-    p.flow_id = h.experiment;
     const auto id = p.id;
     stats_.sent++;
     host_.send_l2(std::move(p), port);

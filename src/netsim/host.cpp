@@ -70,12 +70,11 @@ packet host::make_ipv4_packet(std::uint8_t protocol, wire::ipv4_addr dst,
                               std::uint8_t dscp) const
 {
     packet p;
-    byte_writer w(wire::eth_header_size + wire::ipv4_header_size);
     wire::eth_header eth;
     eth.src = mac();
     eth.dst = 0; // resolved per-hop in the simulator; links are point-to-point
     eth.ethertype = wire::ethertype_ipv4;
-    serialize(eth, w);
+    serialize(eth, p.headers);
 
     wire::ipv4_header ip;
     ip.dscp = dscp;
@@ -84,8 +83,7 @@ packet host::make_ipv4_packet(std::uint8_t protocol, wire::ipv4_addr dst,
     ip.dst = dst;
     ip.total_length = 0; // patched by caller if it cares; simulator
                          // trusts packet.wire_size() instead
-    serialize(ip, w);
-    p.headers = w.take();
+    serialize(ip, p.headers);
     return p;
 }
 

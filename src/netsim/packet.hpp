@@ -23,8 +23,9 @@ struct packet {
     std::uint64_t id{0};
     /// Serialized protocol headers (Ethernet [+ IPv4 [+ UDP]] + payload
     /// protocol header). Network elements read and rewrite these bytes.
-    /// Small-buffer storage: real header stacks fit the 64-byte inline
-    /// capacity, so moving a packet through queues and event closures
+    /// Small-buffer storage: every stack the wire layer builds fits the
+    /// 88-byte inline capacity and is written there in place, so building,
+    /// rewriting and moving a packet through queues and event closures
     /// never touches the heap.
     small_bytes headers;
     /// Real payload bytes (control bodies, alert contents, TCP segments).
@@ -32,15 +33,13 @@ struct packet {
     /// Additional virtual payload bytes counted in wire_size() only.
     std::uint64_t virtual_payload{0};
 
-    // --- trace metadata (not on the wire) ---
-    sim_time created{sim_time::zero()};
+    // --- metadata (not on the wire) ---
     /// Exact per-packet virtual time on the burst path: the send time
     /// while the packet waits in a link's pending ring, the arrival time
     /// once committed. Burst-aware receivers read this instead of
     /// engine::now() (a burst event fires at its first packet's arrival),
     /// which is what keeps burst>1 metrics byte-identical to burst=1.
     sim_time stamp{sim_time::zero()};
-    std::uint64_t flow_id{0};
     /// Set by a link when the corruption model fired; receivers treat the
     /// packet as failing its integrity check and drop it.
     bool corrupted{false};

@@ -41,28 +41,43 @@ bool parse_context(packet_context& ctx)
     return true;
 }
 
+namespace {
+
+/// A byte_sink over bytes that already exist: rewrites them in place.
+struct overwrite_sink {
+    std::uint8_t* at;
+
+    std::uint8_t* extend(std::size_t n)
+    {
+        std::uint8_t* start = at;
+        at += n;
+        return start;
+    }
+};
+
+} // namespace
+
 void deparse_context(packet_context& ctx)
 {
     if (!ctx.headers_dirty) return;
 
     if (ctx.dst_override && ctx.ip) ctx.ip->dst = *ctx.dst_override;
 
-    byte_writer w(wire::max_header_size + wire::eth_header_size + wire::ipv4_header_size);
-    serialize(ctx.eth, w);
-    if (ctx.ip) serialize(*ctx.ip, w);
+    // Ethernet [+ IPv4] is fixed-size: it is rewritten over the l4_offset
+    // bytes it was parsed from, so the L4 bytes of protocols we do not
+    // parse stay where they are.
+    auto& headers = ctx.pkt.headers;
+    overwrite_sink prefix{headers.data()};
+    serialize(ctx.eth, prefix);
+    if (ctx.ip) serialize(*ctx.ip, prefix);
 
     if (ctx.mmtp) {
         // MMTP header is re-serialized from the (possibly rewritten)
         // struct; MMTP datagrams keep their payload in pkt.payload /
         // virtual_payload, so headers end here.
-        serialize(*ctx.mmtp, w);
-    } else {
-        // Preserve the L4 header bytes of protocols we do not parse.
-        const auto& old = ctx.pkt.headers;
-        if (ctx.l4_offset < old.size())
-            w.bytes(std::span<const std::uint8_t>(old).subspan(ctx.l4_offset));
+        headers.resize(ctx.l4_offset);
+        serialize(*ctx.mmtp, headers);
     }
-    ctx.pkt.headers = w.take();
 }
 
 } // namespace mmtp::pnet

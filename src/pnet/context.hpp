@@ -67,9 +67,10 @@ struct packet_context {
 /// (the element then counts and drops the packet).
 bool parse_context(packet_context& ctx);
 
-/// Rewrites pkt.headers from the (possibly modified) structs when
-/// headers_dirty; bytes from l4_offset onward are preserved unless the
-/// packet is MMTP (whose header *is* the re-serialized part).
+/// Rewrites pkt.headers in place from the (possibly modified) structs
+/// when headers_dirty; bytes from l4_offset onward are preserved unless
+/// the packet is MMTP (whose header *is* the re-serialized part). `ctx`
+/// must have been filled by parse_context.
 void deparse_context(packet_context& ctx);
 
 } // namespace mmtp::pnet

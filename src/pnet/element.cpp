@@ -8,23 +8,56 @@
 
 namespace mmtp::pnet {
 
+namespace {
+
+std::uint32_t intern(std::unordered_map<std::string, std::uint32_t>& ids, const std::string& name,
+                     std::size_t next)
+{
+    return ids.try_emplace(name, static_cast<std::uint32_t>(next)).first->second;
+}
+
+} // namespace
+
+register_handle element_state::register_id(const std::string& name)
+{
+    const auto id = intern(register_ids_, name, registers_.size());
+    if (id == registers_.size()) registers_.emplace_back();
+    return {id};
+}
+
+counter_handle element_state::counter_id(const std::string& name)
+{
+    const auto id = intern(counter_ids_, name, counters_.size());
+    if (id == counters_.size()) counters_.push_back(0);
+    return {id};
+}
+
 void element_state::create_register(const std::string& name, std::size_t cells)
 {
-    registers_[name].resize(cells, 0);
+    registers_[register_id(name).index].resize(cells, 0);
 }
 
 std::uint64_t& element_state::reg(const std::string& name, std::size_t index)
 {
-    auto it = registers_.find(name);
-    if (it == registers_.end())
+    auto it = register_ids_.find(name);
+    if (it == register_ids_.end())
         throw std::out_of_range("pnet register not created: " + name);
-    return it->second.at(index);
+    return registers_[it->second].at(index);
 }
 
 std::uint64_t element_state::counter(const std::string& name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    auto it = counter_ids_.find(name);
+    return it == counter_ids_.end() ? 0 : counters_[it->second];
+}
+
+void pipeline_stage::bind(element_state& state)
+{
+    if (bound_ == &state) return;
+    if (bound_ != nullptr)
+        throw std::logic_error("pnet stage '" + name() + "' already belongs to another element");
+    bound_ = &state;
+    resolve(state);
 }
 
 element_profile tofino2_profile()
@@ -47,7 +80,35 @@ programmable_switch::programmable_switch(netsim::scheduler& eng, std::string nm,
 
 void programmable_switch::add_stage(std::shared_ptr<pipeline_stage> stage)
 {
+    stage->bind(state_);
     stages_.push_back(std::move(stage));
+}
+
+namespace {
+
+/// Clears verdicts and parse results on a reused scratch context.
+/// clear() (not reassignment) keeps clones/emissions capacity, so a
+/// recycled context never re-allocates.
+void reset_context(packet_context& ctx)
+{
+    ctx.ip.reset();
+    ctx.mmtp.reset();
+    ctx.mmtp_over_l2 = false;
+    ctx.l4_offset = 0;
+    ctx.headers_dirty = false;
+    ctx.drop = false;
+    ctx.dst_override.reset();
+    ctx.clones.clear();
+    ctx.emissions.clear();
+}
+
+} // namespace
+
+packet_context* programmable_switch::contexts()
+{
+    if (!ctx_scratch_)
+        ctx_scratch_ = std::make_unique<packet_context[]>(netsim::max_burst);
+    return ctx_scratch_.get();
 }
 
 void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
@@ -66,7 +127,8 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
         return;
     }
 
-    packet_context ctx;
+    packet_context& ctx = contexts()[0];
+    reset_context(ctx);
     ctx.pkt = std::move(p);
     ctx.ingress_port = ingress_port;
     ctx.now = eng_.now();
@@ -150,31 +212,9 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
     forward(std::move(ctx.pkt), dst, false);
 }
 
-namespace {
-
-/// Clears verdicts and parse results on a reused scratch context.
-/// clear() (not reassignment) keeps clones/emissions capacity, so a
-/// recycled context never re-allocates on the burst path.
-void reset_context(packet_context& ctx)
-{
-    ctx.ip.reset();
-    ctx.mmtp.reset();
-    ctx.mmtp_over_l2 = false;
-    ctx.l4_offset = 0;
-    ctx.headers_dirty = false;
-    ctx.drop = false;
-    ctx.dst_override.reset();
-    ctx.clones.clear();
-    ctx.emissions.clear();
-}
-
-} // namespace
-
 void programmable_switch::receive_burst(netsim::packet* pkts, unsigned n, unsigned ingress_port)
 {
-    if (!ctx_scratch_)
-        ctx_scratch_ = std::make_unique<packet_context[]>(netsim::max_burst);
-    packet_context* ctxs = ctx_scratch_.get();
+    packet_context* ctxs = contexts();
 
     // Admission + parse, per packet at its own arrival stamp.
     unsigned m = 0;

@@ -21,15 +21,38 @@
 
 namespace mmtp::pnet {
 
+/// Integer handles to an element's registers and counters, issued by
+/// element_state when a name is first seen (P4 resolves register names
+/// to indices at compile time; stages resolve theirs when installed).
+/// A handle is only meaningful to the element_state that issued it.
+struct register_handle {
+    std::uint32_t index{0};
+};
+struct counter_handle {
+    std::uint32_t index{0};
+};
+
 /// Per-element mutable state available to stages (P4 registers/counters).
+/// The named forms are for setup, scenarios and reports; the per-packet
+/// path uses handles, which cost no string building or hashing.
 class element_state {
 public:
+    /// Handle for a register array, creating it empty on first use.
+    register_handle register_id(const std::string& name);
+    /// Handle for a counter, creating it at zero on first use.
+    counter_handle counter_id(const std::string& name);
+
     /// Creates (or resizes) a named register array of u64 cells.
     void create_register(const std::string& name, std::size_t cells);
     /// Access a cell; the register must exist and the index be in range.
     std::uint64_t& reg(const std::string& name, std::size_t index = 0);
+    std::uint64_t& reg(register_handle h, std::size_t index)
+    {
+        return registers_[h.index].at(index);
+    }
 
-    void bump(const std::string& counter, std::uint64_t by = 1) { counters_[counter] += by; }
+    void bump(const std::string& counter, std::uint64_t by = 1) { bump(counter_id(counter), by); }
+    void bump(counter_handle h, std::uint64_t by = 1) { counters_[h.index] += by; }
     std::uint64_t counter(const std::string& name) const;
 
     wire::ipv4_addr element_addr{0};
@@ -38,15 +61,26 @@ public:
     std::uint32_t trace_site{0};
 
 private:
-    std::unordered_map<std::string, std::vector<std::uint64_t>> registers_;
-    std::unordered_map<std::string, std::uint64_t> counters_;
+    std::unordered_map<std::string, std::uint32_t> register_ids_;
+    std::vector<std::vector<std::uint64_t>> registers_;
+    std::unordered_map<std::string, std::uint32_t> counter_ids_;
+    std::vector<std::uint64_t> counters_;
 };
 
 /// A match-action stage. Stages run in order; each may rewrite headers,
 /// drop, clone, or emit control packets via the context.
+///
+/// A stage instance belongs to one element: bind() resolves the register
+/// and counter names the stage uses to handles of that element's state.
+/// programmable_switch::add_stage binds; a stage driven directly (tests,
+/// benches) binds on its first packet. Binding to a second element
+/// throws std::logic_error instead of silently mis-binding.
 class pipeline_stage {
 public:
     virtual ~pipeline_stage() = default;
+
+    void bind(element_state& state);
+
     virtual void process(packet_context& ctx, element_state& state) = 0;
 
     /// Burst variant: one virtual call processes ctxs[0..n) in order.
@@ -61,6 +95,19 @@ public:
     }
 
     virtual std::string name() const = 0;
+
+protected:
+    /// Resolves the stage's names in `state`; called once, by bind().
+    virtual void resolve(element_state& /*state*/) {}
+
+    /// Per-packet entry check: binds on first use, a no-op after that.
+    void ensure_bound(element_state& state)
+    {
+        if (&state != bound_) bind(state);
+    }
+
+private:
+    element_state* bound_{nullptr};
 };
 
 /// Hardware profile: fixed pipeline latency and a tag for reports.
@@ -125,6 +172,8 @@ private:
     /// Emissions / drop verdict / deparse / clones / primary forward for
     /// one burst packet — the tail of receive(), at ctx.now.
     void finalize_burst(packet_context& ctx);
+    /// The scratch contexts, created on first use.
+    packet_context* contexts();
 
     element_profile profile_;
     element_state state_;
@@ -132,8 +181,9 @@ private:
     switch_stats stats_;
     unsigned l2_uplink_{netsim::no_port};
     netsim::packet_id_source* ids_{nullptr};
-    /// Scratch contexts for receive_burst, lazily sized to max_burst and
-    /// reused (vectors keep their capacity) so bursts never allocate.
+    /// Scratch contexts for receive (one) and receive_burst (up to
+    /// max_burst), reused so that clones and emissions vectors keep their
+    /// capacity and packets never allocate.
     std::unique_ptr<packet_context[]> ctx_scratch_;
 };
 

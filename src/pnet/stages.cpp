@@ -19,7 +19,7 @@ netsim::packet make_control_packet(wire::ipv4_addr element_addr, wire::ipv4_addr
     h.control = type;
 
     netsim::packet p;
-    p.headers = wire::build_mmtp_over_ipv4(/*src_mac=*/0, element_addr, dst, h, body.size());
+    wire::build_mmtp_over_ipv4(p.headers, /*src_mac=*/0, element_addr, dst, h, body.size());
     p.payload = std::move(body);
     return p;
 }
@@ -62,8 +62,16 @@ bool mode_transition_stage::has_epoch(std::uint8_t epoch) const
     return false;
 }
 
+void mode_transition_stage::resolve(element_state& state)
+{
+    state.create_register("mode_seq", seq_register_cells);
+    seq_ = state.register_id("mode_seq");
+    transitions_ = state.counter_id("mode_transitions");
+}
+
 void mode_transition_stage::process(packet_context& ctx, element_state& state)
 {
+    ensure_bound(state);
     if (!ctx.mmtp || ctx.mmtp->m.has(wire::feature::control)) return;
     auto& h = *ctx.mmtp;
 
@@ -88,8 +96,7 @@ void mode_transition_stage::process(packet_context& ctx, element_state& state)
             // not collide modulo its size for buffer prediction to hold —
             // seq_cell_of reduces modulo a prime so concurrent
             // experiments cannot systematically alias (see stages.hpp).
-            state.create_register("mode_seq", seq_register_cells);
-            auto& cell = state.reg("mode_seq", seq_cell_of(h.experiment));
+            auto& cell = state.reg(seq_, seq_cell_of(h.experiment));
             wire::sequencing_field f;
             f.sequence = cell & 0xffffffffffffull;
             f.epoch = static_cast<std::uint16_t>(cell >> 48);
@@ -141,7 +148,7 @@ void mode_transition_stage::process(packet_context& ctx, element_state& state)
         if (!h.m.has(wire::feature::timestamped)) h.timestamp_ns.reset();
 
         ctx.headers_dirty = true;
-        state.bump("mode_transitions");
+        state.bump(transitions_);
         trace::emit(ctx.now, state.trace_site, trace::hop::sw_mode_rewrite, ctx.pkt.id,
                     h.m.cfg_data);
         break; // first matching rule wins, P4-table style
@@ -151,8 +158,16 @@ void mode_transition_stage::process(packet_context& ctx, element_state& state)
 // --------------------------------------------------------------------------
 // age_update_stage
 
+void age_update_stage::resolve(element_state& state)
+{
+    aged_packets_ = state.counter_id("aged_packets");
+    notifications_ = state.counter_id("deadline_notifications");
+    aged_drops_ = state.counter_id("aged_drops");
+}
+
 void age_update_stage::process(packet_context& ctx, element_state& state)
 {
+    ensure_bound(state);
     if (!ctx.mmtp || !ctx.mmtp->timeliness) return;
     if (ctx.mmtp->m.has(wire::feature::control)) return;
     auto& h = *ctx.mmtp;
@@ -173,7 +188,7 @@ void age_update_stage::process(packet_context& ctx, element_state& state)
         if (!t.aged()) {
             t.set_aged();
             ctx.headers_dirty = true;
-            state.bump("aged_packets");
+            state.bump(aged_packets_);
         }
         if (cfg_.emit_notifications && !t.notified() && t.notify_addr != 0) {
             t.set_notified();
@@ -190,11 +205,11 @@ void age_update_stage::process(packet_context& ctx, element_state& state)
                 make_control_packet(state.element_addr, t.notify_addr, h.experiment,
                                     wire::control_type::deadline_exceeded, w.take()),
                 t.notify_addr});
-            state.bump("deadline_notifications");
+            state.bump(notifications_);
         }
         if (cfg_.drop_aged) {
             ctx.drop = true;
-            state.bump("aged_drops");
+            state.bump(aged_drops_);
         }
     }
 }
@@ -207,8 +222,17 @@ backpressure_stage::backpressure_stage(programmable_switch& sw, backpressure_con
 {
 }
 
+void backpressure_stage::resolve(element_state& state)
+{
+    engagements_ = state.counter_id("backpressure_engagements");
+    suppressed_ = state.counter_id("backpressure_suppressed");
+    escalations_ = state.counter_id("backpressure_escalations");
+    signals_ = state.counter_id("backpressure_signals");
+}
+
 void backpressure_stage::process(packet_context& ctx, element_state& state)
 {
+    ensure_bound(state);
     if (!ctx.mmtp || !ctx.mmtp->m.has(wire::feature::backpressure)) return;
     if (ctx.mmtp->m.has(wire::feature::control)) return;
     if (!ctx.ip) return;
@@ -227,7 +251,7 @@ void backpressure_stage::process(packet_context& ctx, element_state& state)
     if (!ps.engaged) {
         if (depth < cfg_.high_watermark_bytes) return;
         ps.engaged = true;
-        state.bump("backpressure_engagements");
+        state.bump(engagements_);
     } else if (depth < cfg_.low_watermark_bytes) {
         ps.engaged = false;
         ps.sources.clear(); // next engagement re-signals every source
@@ -252,10 +276,10 @@ void backpressure_stage::process(packet_context& ctx, element_state& state)
         // through, and no faster than min_interval.
         if (band <= it->second.band
             || (ctx.now - it->second.last).ns < cfg_.min_interval.ns) {
-            state.bump("backpressure_suppressed");
+            state.bump(suppressed_);
             return;
         }
-        state.bump("backpressure_escalations");
+        state.bump(escalations_);
         it->second = source_state{ctx.now, band};
     } else {
         ps.sources.emplace(src, source_state{ctx.now, band});
@@ -272,7 +296,7 @@ void backpressure_stage::process(packet_context& ctx, element_state& state)
         make_control_packet(state.element_addr, src, ctx.mmtp->experiment,
                             wire::control_type::backpressure, w.take()),
         src});
-    state.bump("backpressure_signals");
+    state.bump(signals_);
     trace::emit(ctx.now, state.trace_site, trace::hop::sw_backpressure, ctx.pkt.id,
                 body.level);
 }
@@ -309,8 +333,15 @@ std::size_t duplication_stage::subscriber_count(std::uint32_t experiment) const
     return it == subs_.end() ? 0 : it->second.size();
 }
 
+void duplication_stage::resolve(element_state& state)
+{
+    subscriptions_ = state.counter_id("subscriptions");
+    duplicated_ = state.counter_id("duplicated");
+}
+
 void duplication_stage::process(packet_context& ctx, element_state& state)
 {
+    ensure_bound(state);
     if (!ctx.mmtp) return;
     auto& h = *ctx.mmtp;
 
@@ -319,7 +350,7 @@ void duplication_stage::process(packet_context& ctx, element_state& state)
         && ctx.ip && ctx.ip->dst == state.element_addr) {
         if (const auto body = wire::parse_subscribe(ctx.control_body())) {
             add_subscriber(wire::experiment_of(body->experiment), body->subscriber);
-            state.bump("subscriptions");
+            state.bump(subscriptions_);
         }
         ctx.drop = true; // consumed
         return;
@@ -336,7 +367,7 @@ void duplication_stage::process(packet_context& ctx, element_state& state)
         if (sub == primary_dst) continue;
         ctx.clones.push_back(sub);
     }
-    if (!ctx.clones.empty()) state.bump("duplicated");
+    if (!ctx.clones.empty()) state.bump(duplicated_);
 }
 
 // --------------------------------------------------------------------------

@@ -110,7 +110,11 @@ public:
     std::string name() const override { return "mode_transition"; }
 
 private:
+    void resolve(element_state& state) override;
+
     std::vector<mode_rule> rules_;
+    register_handle seq_;
+    counter_handle transitions_;
 };
 
 // ---------------------------------------------------------------------------
@@ -137,7 +141,12 @@ public:
     std::string name() const override { return "age_update"; }
 
 private:
+    void resolve(element_state& state) override;
+
     age_config cfg_;
+    counter_handle aged_packets_;
+    counter_handle notifications_;
+    counter_handle aged_drops_;
 };
 
 // ---------------------------------------------------------------------------
@@ -183,9 +192,15 @@ private:
         std::unordered_map<wire::ipv4_addr, source_state> sources;
     };
 
+    void resolve(element_state& state) override;
+
     programmable_switch& sw_;
     backpressure_config cfg_;
     std::vector<port_state> ports_;
+    counter_handle engagements_;
+    counter_handle suppressed_;
+    counter_handle escalations_;
+    counter_handle signals_;
 };
 
 // ---------------------------------------------------------------------------
@@ -210,7 +225,11 @@ public:
     std::size_t subscriber_count(std::uint32_t experiment) const;
 
 private:
+    void resolve(element_state& state) override;
+
     std::unordered_map<std::uint32_t, std::vector<wire::ipv4_addr>> subs_;
+    counter_handle subscriptions_;
+    counter_handle duplicated_;
 };
 
 // ---------------------------------------------------------------------------

@@ -158,8 +158,6 @@ void connection::emit(std::uint64_t seq, std::uint64_t len, std::uint8_t flags,
     p.headers.insert(p.headers.end(), hdr_bytes.begin(), hdr_bytes.end());
     p.virtual_payload = len;
     p.id = ids_.next();
-    p.created = eng_.now();
-    p.flow_id = (static_cast<std::uint64_t>(local_port_) << 16) | remote_port_;
 
     stats_.segments_sent++;
     if (len > 0) {

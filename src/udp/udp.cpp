@@ -48,7 +48,6 @@ std::uint64_t socket::send_to(wire::ipv4_addr dst, std::uint16_t dst_port,
 {
     auto& h = stack_.host();
     netsim::packet p = h.make_ipv4_packet(wire::ipproto_udp, dst);
-    byte_writer w;
     wire::udp_header uh;
     uh.src_port = port_;
     uh.dst_port = dst_port;
@@ -57,13 +56,10 @@ std::uint64_t socket::send_to(wire::ipv4_addr dst, std::uint16_t dst_port,
         payload_total + wire::udp_header_size > 0xffff
             ? 0
             : payload_total + wire::udp_header_size);
-    serialize(uh, w);
-    const auto bytes = w.take();
-    p.headers.insert(p.headers.end(), bytes.begin(), bytes.end());
+    serialize(uh, p.headers);
     p.payload = std::move(content);
     p.virtual_payload = extra_virtual;
     p.id = stack_.ids_.next();
-    p.created = h.sim().now();
     stats_.sent++;
     stats_.bytes_sent += payload_total;
     const auto id = p.id;

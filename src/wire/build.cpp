@@ -1,19 +1,16 @@
 #include "wire/build.hpp"
 
-#include "common/bytes.hpp"
-
 namespace mmtp::wire {
 
-std::vector<std::uint8_t> build_mmtp_over_ipv4(mac_addr src_mac, ipv4_addr src,
-                                               ipv4_addr dst, const header& h,
-                                               std::size_t total_payload, std::uint8_t dscp)
+void build_mmtp_over_ipv4(small_bytes& out, mac_addr src_mac, ipv4_addr src, ipv4_addr dst,
+                          const header& h, std::size_t total_payload, std::uint8_t dscp)
 {
-    byte_writer w(eth_header_size + ipv4_header_size + max_header_size);
+    out.clear();
     eth_header eth;
     eth.src = src_mac;
     eth.dst = 0;
     eth.ethertype = ethertype_ipv4;
-    serialize(eth, w);
+    serialize(eth, out);
 
     ipv4_header ip;
     ip.dscp = dscp;
@@ -22,23 +19,20 @@ std::vector<std::uint8_t> build_mmtp_over_ipv4(mac_addr src_mac, ipv4_addr src,
     ip.dst = dst;
     const std::size_t len = ipv4_header_size + h.wire_size() + total_payload;
     ip.total_length = len > 0xffff ? 0 : static_cast<std::uint16_t>(len);
-    serialize(ip, w);
+    serialize(ip, out);
 
-    serialize(h, w);
-    return w.take();
+    serialize(h, out);
 }
 
-std::vector<std::uint8_t> build_mmtp_over_l2(mac_addr src_mac, mac_addr dst_mac,
-                                             const header& h)
+void build_mmtp_over_l2(small_bytes& out, mac_addr src_mac, mac_addr dst_mac, const header& h)
 {
-    byte_writer w(eth_header_size + max_header_size);
+    out.clear();
     eth_header eth;
     eth.src = src_mac;
     eth.dst = dst_mac;
     eth.ethertype = ethertype_mmtp;
-    serialize(eth, w);
-    serialize(h, w);
-    return w.take();
+    serialize(eth, out);
+    serialize(h, out);
 }
 
 } // namespace mmtp::wire

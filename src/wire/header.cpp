@@ -2,15 +2,6 @@
 
 namespace mmtp::wire {
 
-namespace {
-constexpr std::size_t sequencing_size = 8;
-constexpr std::size_t retransmission_size = 4;
-constexpr std::size_t timeliness_size = 14;
-constexpr std::size_t pacing_size = 4;
-constexpr std::size_t control_size = 1;
-constexpr std::size_t timestamp_size = 8;
-} // namespace
-
 std::string to_string(const mode& m)
 {
     std::string s = "cfg" + std::to_string(m.cfg_id) + "[";
@@ -34,23 +25,6 @@ std::string to_string(const mode& m)
     return s;
 }
 
-std::size_t header_size_for(const mode& m)
-{
-    std::size_t n = core_header_size;
-    if (m.has(feature::sequencing)) n += sequencing_size;
-    if (m.has(feature::retransmission)) n += retransmission_size;
-    if (m.has(feature::timeliness)) n += timeliness_size;
-    if (m.has(feature::pacing)) n += pacing_size;
-    if (m.has(feature::control)) n += control_size;
-    if (m.has(feature::timestamped)) n += timestamp_size;
-    return n;
-}
-
-std::size_t header::wire_size() const
-{
-    return header_size_for(m);
-}
-
 bool header::consistent() const
 {
     if (m.has(feature::sequencing) != sequencing.has_value()) return false;
@@ -62,52 +36,52 @@ bool header::consistent() const
     return true;
 }
 
-bool serialize(const header& h, byte_writer& w)
+void write_fields(const header& h, std::uint8_t* out)
 {
-    if (!h.consistent()) return false;
-    if ((h.m.cfg_data & ~known_feature_mask) != 0) return false;
-
-    w.u8(h.m.cfg_id);
-    w.u24(h.m.cfg_data);
-    w.u32(h.experiment);
+    write_cursor c(out);
+    c.u8(h.m.cfg_id);
+    c.u24(h.m.cfg_data);
+    c.u32(h.experiment);
 
     if (h.sequencing) {
-        w.u48(h.sequencing->sequence);
-        w.u16(h.sequencing->epoch);
+        c.u48(h.sequencing->sequence);
+        c.u16(h.sequencing->epoch);
     }
     if (h.retransmission) {
-        w.u32(h.retransmission->buffer_addr);
+        c.u32(h.retransmission->buffer_addr);
     }
     if (h.timeliness) {
-        w.u32(h.timeliness->deadline_us);
-        w.u32(h.timeliness->age_us);
-        w.u16(h.timeliness->flags);
-        w.u32(h.timeliness->notify_addr);
+        c.u32(h.timeliness->deadline_us);
+        c.u32(h.timeliness->age_us);
+        c.u16(h.timeliness->flags);
+        c.u32(h.timeliness->notify_addr);
     }
     if (h.pacing) {
-        w.u32(h.pacing->pace_mbps);
+        c.u32(h.pacing->pace_mbps);
     }
     if (h.control) {
-        w.u8(static_cast<std::uint8_t>(*h.control));
+        c.u8(static_cast<std::uint8_t>(*h.control));
     }
     if (h.timestamp_ns) {
-        w.u64(*h.timestamp_ns);
+        c.u64(*h.timestamp_ns);
     }
-    return true;
 }
 
 std::optional<header> parse(std::span<const std::uint8_t> data)
 {
-    byte_reader r(data);
+    if (data.size() < core_header_size) return std::nullopt;
+    read_cursor r(data.data());
     header h;
     h.m.cfg_id = r.u8();
     h.m.cfg_data = r.u24();
     h.experiment = r.u32();
-    if (r.failed()) return std::nullopt;
     // cfg_id carries the control plane's policy epoch; every epoch uses the
     // cfg-0 field layout, so any value parses.  Unknown feature bits still
     // make the extension region unparseable and must be rejected.
     if ((h.m.cfg_data & ~known_feature_mask) != 0) return std::nullopt;
+    // Every extension offset is a function of the mode: one check covers
+    // all the fields read below.
+    if (data.size() < header_size_for(h.m)) return std::nullopt;
 
     if (h.m.has(feature::sequencing)) {
         sequencing_field f;
@@ -139,7 +113,6 @@ std::optional<header> parse(std::span<const std::uint8_t> data)
     if (h.m.has(feature::timestamped)) {
         h.timestamp_ns = r.u64();
     }
-    if (r.failed()) return std::nullopt;
     return h;
 }
 
@@ -179,12 +152,12 @@ void materialize_missing_fields(header& h)
 
 std::optional<header> parse_core(std::span<const std::uint8_t> data)
 {
-    byte_reader r(data);
+    if (data.size() < core_header_size) return std::nullopt;
+    read_cursor r(data.data());
     header h;
     h.m.cfg_id = r.u8();
     h.m.cfg_data = r.u24();
     h.experiment = r.u32();
-    if (r.failed()) return std::nullopt;
     return h;
 }
 

@@ -110,20 +110,54 @@ struct header {
 };
 
 constexpr std::size_t core_header_size = 8;
+constexpr std::size_t sequencing_size = 8;
+constexpr std::size_t retransmission_size = 4;
+constexpr std::size_t timeliness_size = 14;
+constexpr std::size_t pacing_size = 4;
+constexpr std::size_t control_size = 1;
+constexpr std::size_t timestamp_size = 8;
 /// Largest possible header (all features active).
-constexpr std::size_t max_header_size = core_header_size + 8 + 4 + 14 + 4 + 1 + 8;
+constexpr std::size_t max_header_size = core_header_size + sequencing_size
+    + retransmission_size + timeliness_size + pacing_size + control_size + timestamp_size;
 
 /// Serialized size implied by a mode alone.
-std::size_t header_size_for(const mode& m);
+constexpr std::size_t header_size_for(const mode& m)
+{
+    std::size_t n = core_header_size;
+    if (m.has(feature::sequencing)) n += sequencing_size;
+    if (m.has(feature::retransmission)) n += retransmission_size;
+    if (m.has(feature::timeliness)) n += timeliness_size;
+    if (m.has(feature::pacing)) n += pacing_size;
+    if (m.has(feature::control)) n += control_size;
+    if (m.has(feature::timestamped)) n += timestamp_size;
+    return n;
+}
 
-/// Appends the header to `w`. Returns false (writing nothing) if the
-/// header is inconsistent (optional members not matching feature bits).
-bool serialize(const header& h, byte_writer& w);
+inline std::size_t header::wire_size() const
+{
+    return header_size_for(m);
+}
+
+/// Writes the wire_size() bytes of a consistent header with no reserved
+/// bits at `out` (serialize() checks both, then calls this).
+void write_fields(const header& h, std::uint8_t* out);
+
+/// Appends the header to `out` (a byte_writer or small_bytes) with one
+/// extend. Returns false (writing nothing) if the header is inconsistent
+/// (optional members not matching feature bits) or sets reserved bits.
+template <byte_sink Out>
+bool serialize(const header& h, Out& out)
+{
+    if (!h.consistent() || (h.m.cfg_data & ~known_feature_mask) != 0) return false;
+    write_fields(h, out.extend(h.wire_size()));
+    return true;
+}
 
 /// Parses a header from the front of `data`. Returns std::nullopt on
 /// truncation or reserved feature bits. Any cfg_id is accepted: it is
 /// the policy epoch the datagram was stamped under, and all epochs use
-/// the cfg-0 field layout.
+/// the cfg-0 field layout. The length is checked twice in all: for the
+/// core header, then for the size its mode implies.
 std::optional<header> parse(std::span<const std::uint8_t> data);
 
 /// Parses only the core header (cfg + experiment) without extensions —

@@ -4,72 +4,47 @@
 
 namespace mmtp::wire {
 
-void serialize(const eth_header& h, byte_writer& w)
-{
-    w.u48(h.dst);
-    w.u48(h.src);
-    w.u16(h.ethertype);
-}
-
 std::optional<eth_header> parse_eth(byte_reader& r)
 {
-    eth_header h;
-    h.dst = r.u48();
-    h.src = r.u48();
-    h.ethertype = r.u16();
+    const auto b = r.bytes(eth_header_size);
     if (r.failed()) return std::nullopt;
+    read_cursor c(b.data());
+    eth_header h;
+    h.dst = c.u48();
+    h.src = c.u48();
+    h.ethertype = c.u16();
     return h;
-}
-
-void serialize(const ipv4_header& h, byte_writer& w)
-{
-    w.u8(0x45); // version 4, IHL 5
-    w.u8(h.dscp);
-    w.u16(h.total_length);
-    w.u16(0); // identification
-    w.u16(0x4000); // DF set, no fragmentation in DAQ paths
-    w.u8(h.ttl);
-    w.u8(h.protocol);
-    w.u16(0); // checksum elided in the simulator (corruption modeled at L1)
-    w.u32(h.src);
-    w.u32(h.dst);
 }
 
 std::optional<ipv4_header> parse_ipv4(byte_reader& r)
 {
-    const auto ver_ihl = r.u8();
-    if (r.failed() || ver_ihl != 0x45) return std::nullopt;
-    ipv4_header h;
-    h.dscp = r.u8();
-    h.total_length = r.u16();
-    r.skip(2); // identification
-    const auto flags = r.u16();
-    if ((flags & 0x2000) != 0) return std::nullopt; // MF set: unsupported
-    h.ttl = r.u8();
-    h.protocol = r.u8();
-    r.skip(2); // checksum
-    h.src = r.u32();
-    h.dst = r.u32();
+    const auto b = r.bytes(ipv4_header_size);
     if (r.failed()) return std::nullopt;
+    read_cursor c(b.data());
+    if (c.u8() != 0x45) return std::nullopt;
+    ipv4_header h;
+    h.dscp = c.u8();
+    h.total_length = c.u16();
+    c.skip(2); // identification
+    const auto flags = c.u16();
+    if ((flags & 0x2000) != 0) return std::nullopt; // MF set: unsupported
+    h.ttl = c.u8();
+    h.protocol = c.u8();
+    c.skip(2); // checksum
+    h.src = c.u32();
+    h.dst = c.u32();
     return h;
-}
-
-void serialize(const udp_header& h, byte_writer& w)
-{
-    w.u16(h.src_port);
-    w.u16(h.dst_port);
-    w.u16(h.length);
-    w.u16(0); // checksum elided
 }
 
 std::optional<udp_header> parse_udp(byte_reader& r)
 {
-    udp_header h;
-    h.src_port = r.u16();
-    h.dst_port = r.u16();
-    h.length = r.u16();
-    r.skip(2);
+    const auto b = r.bytes(udp_header_size);
     if (r.failed()) return std::nullopt;
+    read_cursor c(b.data());
+    udp_header h;
+    h.src_port = c.u16();
+    h.dst_port = c.u16();
+    h.length = c.u16();
     return h;
 }
 

@@ -66,9 +66,44 @@ struct udp_header {
 
 constexpr std::size_t udp_header_size = 8;
 
-void serialize(const eth_header& h, byte_writer& w);
-void serialize(const ipv4_header& h, byte_writer& w);
-void serialize(const udp_header& h, byte_writer& w);
+// Serializers append one header to a byte_sink (byte_writer or
+// small_bytes) with a single extend; parsers check the header's whole
+// length once. Both then move field by field with no further checks.
+
+template <byte_sink Out>
+void serialize(const eth_header& h, Out& out)
+{
+    write_cursor c(out.extend(eth_header_size));
+    c.u48(h.dst);
+    c.u48(h.src);
+    c.u16(h.ethertype);
+}
+
+template <byte_sink Out>
+void serialize(const ipv4_header& h, Out& out)
+{
+    write_cursor c(out.extend(ipv4_header_size));
+    c.u8(0x45); // version 4, IHL 5
+    c.u8(h.dscp);
+    c.u16(h.total_length);
+    c.u16(0);      // identification
+    c.u16(0x4000); // DF set, no fragmentation in DAQ paths
+    c.u8(h.ttl);
+    c.u8(h.protocol);
+    c.u16(0); // checksum elided in the simulator (corruption modeled at L1)
+    c.u32(h.src);
+    c.u32(h.dst);
+}
+
+template <byte_sink Out>
+void serialize(const udp_header& h, Out& out)
+{
+    write_cursor c(out.extend(udp_header_size));
+    c.u16(h.src_port);
+    c.u16(h.dst_port);
+    c.u16(h.length);
+    c.u16(0); // checksum elided
+}
 
 std::optional<eth_header> parse_eth(byte_reader& r);
 std::optional<ipv4_header> parse_ipv4(byte_reader& r);

@@ -1,0 +1,185 @@
+// Allocation gate on the real per-packet path. After a warm-up, MMTP
+// messages go sender → programmable_switch → receivers: the switch runs a
+// mode_transition_stage that grows the 42-byte origin stack (Ethernet +
+// IPv4 + core + timestamp) to 76 bytes (+ sequencing, retransmission,
+// timeliness) and a duplication_stage that clones every packet toward one
+// subscriber. Emit, parse, stages, deparse, clone and delivery must not
+// touch the heap at link burst 1 or 32. A counting global operator new
+// makes this a deterministic count, not a timing.
+#include "common/interval_set.hpp"
+#include "mmtp/receiver.hpp"
+#include "mmtp/sender.hpp"
+#include "mmtp/stack.hpp"
+#include "netsim/network.hpp"
+#include "pnet/element.hpp"
+#include "pnet/stages.hpp"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+// ---------------------------------------------------------------- alloc hook
+
+static std::atomic<std::uint64_t> g_allocs{0};
+
+void* operator new(std::size_t n)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n)) return p;
+    throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t n)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n)) return p;
+    throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+using namespace mmtp;
+using namespace mmtp::netsim;
+
+constexpr std::uint64_t warmup_messages = 2000;
+constexpr std::uint64_t measured_messages = 10000;
+/// Messages handed to the sender at one instant: back-to-back packets,
+/// so burst links coalesce them into multi-packet arrival events.
+constexpr unsigned messages_per_tick = 8;
+
+/// sensor → tofino → {dst, subscriber}, every link at `burst`.
+struct switched_path {
+    network net{7};
+    host& sensor;
+    pnet::programmable_switch& sw;
+    host& dst;
+    host& subscriber;
+    core::stack sensor_stack;
+    core::stack dst_stack;
+    core::stack sub_stack;
+    core::sender tx;
+    core::receiver rx;
+    core::receiver sub_rx;
+    std::uint64_t sent{0};
+    std::uint64_t target{0};
+
+    explicit switched_path(unsigned burst)
+        : sensor(net.add_host("sensor")),
+          sw(net.emplace<pnet::programmable_switch>("tofino")),
+          dst(net.add_host("dst")),
+          subscriber(net.add_host("subscriber")),
+          sensor_stack(sensor, net.ids()),
+          dst_stack(dst, net.ids()),
+          sub_stack(subscriber, net.ids()),
+          tx(sensor_stack, dst.address(), core::sender_config{}),
+          rx(dst_stack),
+          sub_rx(sub_stack)
+    {
+        link_config cfg;
+        cfg.burst = burst;
+        net.connect(sensor, sw, cfg);
+        net.connect(sw, dst, cfg);
+        net.connect(sw, subscriber, cfg);
+        net.compute_routes();
+        sw.set_id_source(&net.ids());
+
+        auto modes = std::make_shared<pnet::mode_transition_stage>();
+        pnet::mode_rule rule;
+        rule.match_any_experiment = true;
+        rule.set_bits = wire::feature_bit(wire::feature::sequencing)
+            | wire::feature_bit(wire::feature::retransmission)
+            | wire::feature_bit(wire::feature::timeliness)
+            | wire::feature_bit(wire::feature::duplication);
+        rule.buffer_addr = sw.address();
+        rule.deadline_us = 1'000'000;
+        rule.notify_addr = sensor.address();
+        modes->add_rule(rule);
+        sw.add_stage(modes);
+
+        auto dup = std::make_shared<pnet::duplication_stage>();
+        dup->add_subscriber(wire::experiments::vera_rubin, subscriber.address());
+        sw.add_stage(dup);
+    }
+
+    /// Hands `messages_per_tick` messages to the sender, then re-arms
+    /// itself: one pending event at a time, so the engine's heap stays
+    /// at its warmed-up size.
+    void tick()
+    {
+        for (unsigned i = 0; i < messages_per_tick && sent < target; ++i, ++sent) {
+            daq::daq_message m;
+            m.experiment = wire::make_experiment_id(wire::experiments::vera_rubin, 0);
+            m.sequence = sent;
+            m.timestamp_ns = static_cast<std::uint64_t>(net.sim().now().ns);
+            m.size_bytes = 1024;
+            tx.send_message(m);
+        }
+        if (sent < target) net.sim().schedule_in(sim_duration{10'000}, [this] { tick(); });
+    }
+
+    void run(std::uint64_t messages)
+    {
+        target += messages;
+        tick();
+        net.sim().run();
+    }
+};
+
+/// Heap allocations made while `messages` more messages cross the path.
+std::uint64_t allocations_for(switched_path& path, std::uint64_t messages)
+{
+    const auto before = g_allocs.load(std::memory_order_relaxed);
+    path.run(messages);
+    return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+void expect_allocation_free(unsigned burst)
+{
+    switched_path path(burst);
+    path.run(warmup_messages);
+    const auto allocs = allocations_for(path, measured_messages);
+
+    // The traffic really took the rewritten, duplicated path.
+    const auto total = warmup_messages + measured_messages;
+    EXPECT_EQ(path.rx.stats().datagrams, total);
+    EXPECT_EQ(path.sub_rx.stats().datagrams, total);
+    EXPECT_EQ(path.rx.stats().duplicates, 0u);
+    EXPECT_EQ(path.rx.stats().naks_sent, 0u);
+    EXPECT_EQ(path.sw.state().counter("mode_transitions"), total);
+    EXPECT_EQ(path.sw.stats().clones, total);
+
+    EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / measured_messages
+                          << " allocations per message at burst " << burst;
+}
+
+} // namespace
+
+TEST(alloc_free, switched_path_at_burst_1)
+{
+    expect_allocation_free(1);
+}
+
+TEST(alloc_free, switched_path_at_burst_32)
+{
+    expect_allocation_free(32);
+}
+
+TEST(alloc_free, in_order_interval_inserts)
+{
+    interval_set s;
+    s.insert(0, 1);
+    const auto before = g_allocs.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 1; i < 10000; ++i) s.insert(i, i + 1);
+    const auto allocs = g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(s.interval_count(), 1u);
+    EXPECT_EQ(s.next_missing(0), 10000u);
+}

@@ -61,11 +61,9 @@ struct feeder {
             // Varying payloads vary the serialization time, so bursts
             // interleave queueing and cut-through commitments.
             const std::uint64_t payload = 64 + (sent % 7) * 128;
-            p.headers = wire::build_mmtp_over_ipv4(0x02, from, to,
-                                                   seq_header(sent), payload);
+            wire::build_mmtp_over_ipv4(p.headers, 0x02, from, to, seq_header(sent), payload);
             p.virtual_payload = payload;
             const sim_time at = now + sim_duration{static_cast<std::int64_t>(b) * spacing.ns};
-            p.created = at;
             if (burst > 1)
                 out.send_at(at, std::move(p));
             else

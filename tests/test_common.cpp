@@ -1,15 +1,21 @@
-// Unit tests for src/common: byte codecs, rng, crc32c, histogram,
-// interval_set, and the unit types.
+// Unit tests for src/common: byte codecs, small_bytes, rng, crc32c,
+// histogram, interval_set, and the unit types.
 #include "common/bytes.hpp"
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
+#include "common/inline_task.hpp"
 #include "common/interval_set.hpp"
 #include "common/rng.hpp"
+#include "common/small_bytes.hpp"
 #include "common/units.hpp"
+#include "netsim/packet.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 using namespace mmtp;
 using namespace mmtp::literals;
@@ -80,6 +86,225 @@ TEST(bytes, patch_u16)
     w.patch_u16(0, 0xbeef);
     byte_reader r(w.view());
     EXPECT_EQ(r.u16(), 0xbeef);
+}
+
+TEST(bytes, reader_ensure_cannot_overflow)
+{
+    const std::uint8_t data[4] = {1, 2, 3, 4};
+    byte_reader r(data);
+    r.u16();
+    // pos + n would wrap to a small value; n > size - pos does not.
+    EXPECT_TRUE(r.bytes(std::numeric_limits<std::size_t>::max()).empty());
+    EXPECT_TRUE(r.failed());
+    EXPECT_EQ(r.position(), 2u);
+}
+
+TEST(bytes, cursors_match_the_checked_codecs)
+{
+    std::uint8_t buf[24] = {};
+    write_cursor w(buf);
+    w.u8(0xab);
+    w.u16(0x1234);
+    w.u24(0xabcdef);
+    w.u32(0xdeadbeef);
+    w.u48(0x0000123456789abcull);
+    w.u64(0x1122334455667788ull);
+
+    byte_writer bw;
+    bw.u8(0xab);
+    bw.u16(0x1234);
+    bw.u24(0xabcdef);
+    bw.u32(0xdeadbeef);
+    bw.u48(0x0000123456789abcull);
+    bw.u64(0x1122334455667788ull);
+    ASSERT_EQ(bw.size(), sizeof buf);
+    EXPECT_TRUE(std::equal(bw.view().begin(), bw.view().end(), buf));
+
+    read_cursor r(buf);
+    EXPECT_EQ(r.u8(), 0xab);
+    EXPECT_EQ(r.u16(), 0x1234);
+    EXPECT_EQ(r.u24(), 0xabcdefu);
+    EXPECT_EQ(r.u32(), 0xdeadbeefu);
+    EXPECT_EQ(r.u48(), 0x123456789abcull);
+    EXPECT_EQ(r.u64(), 0x1122334455667788ull);
+}
+
+// ---------------------------------------------------------- small_bytes
+
+namespace {
+
+constexpr std::size_t inline_cap = small_bytes::inline_capacity;
+
+std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1)
+{
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(seed + i * 7);
+    return v;
+}
+
+} // namespace
+
+TEST(small_bytes, layouts_are_pinned)
+{
+    // A packet rides inside engine closures next to their captures; a
+    // larger packet or closure costs peak memory on every workload.
+    EXPECT_EQ(sizeof(small_bytes), 104u);
+    EXPECT_EQ(sizeof(netsim::packet), 160u);
+    EXPECT_EQ(inline_task::inline_capacity, 192u);
+}
+
+TEST(small_bytes, copy_across_inline_and_heap)
+{
+    const small_bytes small(pattern(inline_cap));
+    const small_bytes big(pattern(inline_cap + 1, 9));
+    EXPECT_TRUE(small.is_inline());
+    EXPECT_FALSE(big.is_inline());
+
+    small_bytes a(small); // inline -> inline
+    EXPECT_TRUE(a.is_inline());
+    EXPECT_EQ(a, small);
+    small_bytes b(big); // heap -> heap, own storage
+    EXPECT_FALSE(b.is_inline());
+    EXPECT_NE(b.data(), big.data());
+    EXPECT_EQ(b, big);
+
+    a = big; // inline destination grows to the heap
+    EXPECT_FALSE(a.is_inline());
+    EXPECT_EQ(a, big);
+    b = small; // heap destination keeps its buffer, takes the bytes
+    EXPECT_EQ(b, small);
+    EXPECT_GE(b.capacity(), big.size());
+}
+
+TEST(small_bytes, move_across_inline_and_heap)
+{
+    small_bytes inl(pattern(10));
+    small_bytes moved_inl(std::move(inl));
+    EXPECT_TRUE(moved_inl.is_inline());
+    EXPECT_EQ(moved_inl, pattern(10));
+    EXPECT_TRUE(inl.empty());
+    EXPECT_TRUE(inl.is_inline());
+
+    small_bytes heap(pattern(200));
+    const auto* storage = heap.data();
+    small_bytes moved_heap(std::move(heap));
+    EXPECT_EQ(moved_heap.data(), storage) << "a heap buffer moves by pointer";
+    EXPECT_EQ(moved_heap, pattern(200));
+    EXPECT_TRUE(heap.empty());
+    EXPECT_TRUE(heap.is_inline());
+    EXPECT_EQ(heap.capacity(), inline_cap);
+
+    // Move-assigning over a heap-backed buffer releases it (ASan checks
+    // the leak) and takes the source's inline bytes.
+    small_bytes dst(pattern(300));
+    small_bytes src(pattern(5, 3));
+    dst = std::move(src);
+    EXPECT_TRUE(dst.is_inline());
+    EXPECT_EQ(dst, pattern(5, 3));
+    EXPECT_TRUE(src.empty());
+}
+
+TEST(small_bytes, self_assignment_keeps_contents)
+{
+    for (const std::size_t n : {std::size_t{7}, inline_cap + 50}) {
+        small_bytes a(pattern(n));
+        auto& alias = a;
+        a = alias;
+        EXPECT_EQ(a, pattern(n)) << n;
+        a = std::move(alias);
+        EXPECT_EQ(a, pattern(n)) << n;
+        EXPECT_EQ(a.is_inline(), n <= inline_cap) << n;
+    }
+}
+
+TEST(small_bytes, assign_from_vector_and_span)
+{
+    small_bytes a;
+    a = pattern(20);
+    EXPECT_TRUE(a.is_inline());
+    EXPECT_EQ(a, pattern(20));
+
+    const auto big = pattern(inline_cap * 3, 4);
+    a = std::span<const std::uint8_t>(big);
+    EXPECT_FALSE(a.is_inline());
+    EXPECT_EQ(a, big);
+
+    auto shorter = pattern(inline_cap + 2, 6);
+    a = std::move(shorter); // rvalue vector: bytes copied, vector cleared
+    EXPECT_EQ(a, pattern(inline_cap + 2, 6));
+    EXPECT_TRUE(shorter.empty());
+
+    const auto tiny = pattern(3, 8);
+    a = std::span<const std::uint8_t>(tiny); // heap buffer reused
+    EXPECT_EQ(a, tiny);
+    EXPECT_FALSE(a.is_inline());
+
+    small_bytes fresh;
+    fresh = pattern(inline_cap + 1); // a vector straight to the heap
+    EXPECT_FALSE(fresh.is_inline());
+    EXPECT_EQ(fresh, pattern(inline_cap + 1));
+}
+
+TEST(small_bytes, grows_across_the_inline_boundary)
+{
+    const auto want = pattern(inline_cap + 40);
+    small_bytes b;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        b.push_back(want[i]);
+        EXPECT_EQ(b.is_inline(), i + 1 <= inline_cap) << i;
+    }
+    EXPECT_EQ(b, want);
+
+    // extend() and append() cross it the same way, keeping the prefix.
+    small_bytes e(pattern(inline_cap - 2));
+    std::uint8_t* at = e.extend(4);
+    EXPECT_FALSE(e.is_inline());
+    EXPECT_EQ(at, e.data() + inline_cap - 2);
+    for (int i = 0; i < 4; ++i) at[i] = 0xee;
+    auto expect = pattern(inline_cap - 2);
+    expect.insert(expect.end(), 4, 0xee);
+    EXPECT_EQ(e, expect);
+
+    small_bytes c(pattern(inline_cap));
+    const auto tail = pattern(5, 2);
+    c.append(tail);
+    auto joined = pattern(inline_cap);
+    joined.insert(joined.end(), tail.begin(), tail.end());
+    EXPECT_EQ(c, joined);
+
+    // resize() zero-fills what it adds; insert() shifts the tail.
+    small_bytes r(pattern(4));
+    r.resize(inline_cap + 8);
+    EXPECT_FALSE(r.is_inline());
+    EXPECT_EQ(r[3], pattern(4)[3]);
+    EXPECT_EQ(r[inline_cap + 7], 0u);
+    small_bytes ins(pattern(inline_cap));
+    const std::uint8_t mid[2] = {0xaa, 0xbb};
+    ins.insert(ins.begin() + 1, mid, mid + 2);
+    EXPECT_EQ(ins.size(), inline_cap + 2);
+    EXPECT_EQ(ins[0], pattern(1)[0]);
+    EXPECT_EQ(ins[1], 0xaa);
+    EXPECT_EQ(ins[2], 0xbb);
+    EXPECT_EQ(ins[3], pattern(inline_cap)[1]);
+}
+
+TEST(small_bytes, moved_from_heap_buffer_is_reusable)
+{
+    small_bytes a(pattern(150));
+    small_bytes b(std::move(a));
+    EXPECT_EQ(b, pattern(150));
+
+    a.append(pattern(10, 5)); // back in the inline buffer
+    EXPECT_TRUE(a.is_inline());
+    EXPECT_EQ(a, pattern(10, 5));
+    a.append(pattern(inline_cap, 2)); // and out to a fresh heap buffer
+    EXPECT_FALSE(a.is_inline());
+    EXPECT_NE(a.data(), b.data());
+    auto both = pattern(10, 5);
+    const auto more = pattern(inline_cap, 2);
+    both.insert(both.end(), more.begin(), more.end());
+    EXPECT_EQ(a, both);
+    EXPECT_EQ(b, pattern(150)) << "the moved-to buffer is untouched";
 }
 
 // ------------------------------------------------------------------ rng
@@ -408,6 +633,12 @@ TEST(interval_set, random_ops_match_reference_bitmap)
         if (ref[i]) ref_covered++;
     }
     EXPECT_EQ(s.covered(), ref_covered);
+    // Canonical form: one interval per maximal run of the reference, so
+    // touching or overlapping inserts always merged.
+    std::size_t runs = 0;
+    for (std::uint64_t i = 0; i < universe; ++i)
+        if (ref[i] && (i == 0 || !ref[i - 1])) runs++;
+    EXPECT_EQ(s.interval_count(), runs);
     // next_missing agrees with the reference
     for (std::uint64_t i = 0; i < universe; ++i) {
         std::uint64_t expect = i;

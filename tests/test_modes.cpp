@@ -33,7 +33,7 @@ namespace {
 packet_context make_ctx(const wire::header& h)
 {
     packet_context ctx;
-    ctx.pkt.headers = wire::build_mmtp_over_ipv4(0x02, 0x0a000001, 0x0a000002, h, 1000);
+    wire::build_mmtp_over_ipv4(ctx.pkt.headers, 0x02, 0x0a000001, 0x0a000002, h, 1000);
     ctx.pkt.virtual_payload = 1000;
     ctx.pkt.id = 1;
     ctx.now = sim_time::zero();

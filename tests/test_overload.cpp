@@ -48,7 +48,7 @@ unsigned band_zero(const packet&)
 packet mmtp_packet(const wire::header& h, std::uint64_t payload = 1000)
 {
     packet p;
-    p.headers = wire::build_mmtp_over_ipv4(0x02, 0x0a000001, 0x0a000002, h, payload);
+    wire::build_mmtp_over_ipv4(p.headers, 0x02, 0x0a000001, 0x0a000002, h, payload);
     p.virtual_payload = payload;
     p.id = 1;
     return p;

@@ -20,7 +20,7 @@ packet make_mmtp_packet(const wire::header& h, wire::ipv4_addr src, wire::ipv4_a
                         std::uint64_t payload = 1000)
 {
     packet p;
-    p.headers = wire::build_mmtp_over_ipv4(0x02, src, dst, h, payload);
+    wire::build_mmtp_over_ipv4(p.headers, 0x02, src, dst, h, payload);
     p.virtual_payload = payload;
     p.id = 1;
     return p;
@@ -74,7 +74,7 @@ TEST(context, parses_mmtp_over_ipv4)
 TEST(context, parses_mmtp_over_l2)
 {
     packet_context ctx;
-    ctx.pkt.headers = wire::build_mmtp_over_l2(0x02, 0x03, basic_header());
+    wire::build_mmtp_over_l2(ctx.pkt.headers, 0x02, 0x03, basic_header());
     ASSERT_TRUE(parse_context(ctx));
     EXPECT_TRUE(ctx.mmtp_over_l2);
     ASSERT_TRUE(ctx.mmtp.has_value());
@@ -163,6 +163,46 @@ TEST(element_state, registers_and_counters)
     st.bump("c", 4);
     EXPECT_EQ(st.counter("c"), 5u);
     EXPECT_EQ(st.counter("zzz"), 0u);
+}
+
+TEST(element_state, handles_and_names_address_the_same_state)
+{
+    element_state st;
+    const auto c = st.counter_id("c");
+    st.bump(c, 2);
+    st.bump("c");
+    EXPECT_EQ(st.counter("c"), 3u);
+    EXPECT_EQ(st.counter_id("c").index, c.index);
+    EXPECT_NE(st.counter_id("d").index, c.index);
+
+    st.create_register("r", 4);
+    const auto r = st.register_id("r");
+    st.reg(r, 3) = 7;
+    EXPECT_EQ(st.reg("r", 3), 7u);
+    EXPECT_THROW(st.reg(r, 4), std::out_of_range);
+    // A register named by a handle but never sized has no cells.
+    const auto unsized = st.register_id("unsized");
+    EXPECT_THROW(st.reg(unsized, 0), std::out_of_range);
+    EXPECT_THROW(st.reg("unsized"), std::out_of_range);
+}
+
+TEST(pipeline_stage, belongs_to_one_element)
+{
+    network net(3);
+    auto& sw1 = net.emplace<programmable_switch>("sw1");
+    auto& sw2 = net.emplace<programmable_switch>("sw2");
+
+    auto stage = std::make_shared<mode_transition_stage>();
+    sw1.add_stage(stage);
+    // Resolved at install: the sequence register exists before traffic.
+    EXPECT_NO_THROW(sw1.state().reg("mode_seq", mode_transition_stage::seq_register_cells - 1));
+    EXPECT_THROW(sw2.add_stage(stage), std::logic_error);
+
+    // Driving it against another element's state is the same error.
+    element_state other;
+    auto ctx = make_ctx(basic_header(), 1, 2);
+    EXPECT_THROW(stage->process(ctx, other), std::logic_error);
+    EXPECT_THROW(stage->process_burst(&ctx, 1, other), std::logic_error);
 }
 
 // ---------------------------------------------------- mode transitions
@@ -321,7 +361,7 @@ TEST(age_update, sets_aged_flag_and_notifies_once)
     // a downstream element sees the notified flag: no duplicate alarm
     age_update_stage stage2;
     packet_context rebuilt;
-    rebuilt.pkt.headers = wire::build_mmtp_over_ipv4(0x02, 1, 2, *ctx.mmtp, 0);
+    wire::build_mmtp_over_ipv4(rebuilt.pkt.headers, 0x02, 1, 2, *ctx.mmtp, 0);
     rebuilt.now = sim_time{(6_ms).ns};
     ASSERT_TRUE(parse_context(rebuilt));
     stage2.process(rebuilt, st);
@@ -572,7 +612,7 @@ TEST(programmable_switch, l2_uplink_forwarding)
     dtn.set_ethertype_handler(wire::ethertype_mmtp, [&](packet&&, std::size_t) { got++; });
 
     packet p;
-    p.headers = wire::build_mmtp_over_l2(sensor.mac(), 0, basic_header());
+    wire::build_mmtp_over_l2(p.headers, sensor.mac(), 0, basic_header());
     p.id = net.ids().next();
     sensor.send_l2(std::move(p), s2sw);
     net.sim().run();

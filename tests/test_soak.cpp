@@ -97,7 +97,7 @@ namespace {
 pnet::packet_context make_ctx(const wire::header& h)
 {
     pnet::packet_context ctx;
-    ctx.pkt.headers = wire::build_mmtp_over_ipv4(0x02, 0x0a000001, 0x0a000002, h, 512);
+    wire::build_mmtp_over_ipv4(ctx.pkt.headers, 0x02, 0x0a000001, 0x0a000002, h, 512);
     ctx.pkt.virtual_payload = 512;
     ctx.pkt.id = 1;
     EXPECT_TRUE(pnet::parse_context(ctx));

@@ -3,6 +3,7 @@
 // the L2/L3 codecs and the header-stack builders.
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "netsim/packet.hpp"
 #include "wire/build.hpp"
 #include "wire/control.hpp"
 #include "wire/header.hpp"
@@ -10,6 +11,9 @@
 #include "wire/lower.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 using namespace mmtp;
 using namespace mmtp::wire;
@@ -38,6 +42,48 @@ header make_header(std::uint32_t cfg_data)
     if (h.m.has(feature::control)) h.control = control_type::nak;
     if (h.m.has(feature::timestamped)) h.timestamp_ns = 0xdeadbeefcafe1234ull;
     return h;
+}
+
+/// The byte_writer path, field by field in the documented layout, with
+/// no shared code with the in-place serializers: Ethernet + IPv4 (when
+/// `ip` is given) + MMTP header.
+std::vector<std::uint8_t> reference_stack(const eth_header& eth, const ipv4_header* ip,
+                                          const header& h)
+{
+    byte_writer w;
+    w.u48(eth.dst);
+    w.u48(eth.src);
+    w.u16(eth.ethertype);
+    if (ip != nullptr) {
+        w.u8(0x45);
+        w.u8(ip->dscp);
+        w.u16(ip->total_length);
+        w.u16(0);
+        w.u16(0x4000);
+        w.u8(ip->ttl);
+        w.u8(ip->protocol);
+        w.u16(0);
+        w.u32(ip->src);
+        w.u32(ip->dst);
+    }
+    w.u8(h.m.cfg_id);
+    w.u24(h.m.cfg_data);
+    w.u32(h.experiment);
+    if (h.sequencing) {
+        w.u48(h.sequencing->sequence);
+        w.u16(h.sequencing->epoch);
+    }
+    if (h.retransmission) w.u32(h.retransmission->buffer_addr);
+    if (h.timeliness) {
+        w.u32(h.timeliness->deadline_us);
+        w.u32(h.timeliness->age_us);
+        w.u16(h.timeliness->flags);
+        w.u32(h.timeliness->notify_addr);
+    }
+    if (h.pacing) w.u32(h.pacing->pace_mbps);
+    if (h.control) w.u8(static_cast<std::uint8_t>(*h.control));
+    if (h.timestamp_ns) w.u64(*h.timestamp_ns);
+    return w.take();
 }
 
 } // namespace
@@ -93,6 +139,44 @@ TEST_P(header_roundtrip, truncation_always_rejected)
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
         EXPECT_FALSE(parse(bytes.first(cut)).has_value()) << "cut=" << cut;
     }
+}
+
+TEST_P(header_roundtrip, stack_builders_write_the_byte_writer_bytes_inline)
+{
+    const auto h = make_header(GetParam());
+
+    // serialize() into a byte_writer is the reference path's header.
+    byte_writer w;
+    ASSERT_TRUE(serialize(h, w));
+    const auto ref_header = reference_stack({}, nullptr, h);
+    ASSERT_GE(ref_header.size(), eth_header_size);
+    EXPECT_TRUE(std::equal(w.view().begin(), w.view().end(),
+                           ref_header.begin() + eth_header_size, ref_header.end()));
+
+    eth_header eth{0, 0x020000000001ull, ethertype_ipv4};
+    ipv4_header ip;
+    ip.dscp = 0x2e;
+    ip.protocol = ipproto_mmtp;
+    ip.src = 0x0a000001;
+    ip.dst = 0x0a000002;
+    ip.total_length = static_cast<std::uint16_t>(ipv4_header_size + h.wire_size() + 1000);
+    netsim::packet over_ip;
+    build_mmtp_over_ipv4(over_ip.headers, eth.src, ip.src, ip.dst, h, 1000, ip.dscp);
+    EXPECT_EQ(over_ip.headers, reference_stack(eth, &ip, h));
+    EXPECT_TRUE(over_ip.headers.is_inline()) << over_ip.headers.size() << " bytes";
+
+    const eth_header l2{0x030000000002ull, 0x020000000001ull, ethertype_mmtp};
+    const auto l2_stack = reference_stack(l2, nullptr, h);
+    netsim::packet over_l2;
+    build_mmtp_over_l2(over_l2.headers, l2.src, l2.dst, h);
+    EXPECT_EQ(over_l2.headers, l2_stack);
+    EXPECT_TRUE(over_l2.headers.is_inline());
+
+    // Building over a used buffer replaces its contents.
+    build_mmtp_over_l2(over_ip.headers, l2.src, l2.dst, h);
+    EXPECT_EQ(over_ip.headers, l2_stack);
+    build_mmtp_over_ipv4(over_l2.headers, eth.src, ip.src, ip.dst, h, 1000, ip.dscp);
+    EXPECT_EQ(over_l2.headers, reference_stack(eth, &ip, h));
 }
 
 INSTANTIATE_TEST_SUITE_P(all_feature_combinations, header_roundtrip,
@@ -347,7 +431,8 @@ TEST(build, mmtp_over_ipv4_stack_parses_back)
     h.m.set(feature::timestamped);
     h.experiment = make_experiment_id(experiments::iceberg, 0);
     h.timestamp_ns = 12345;
-    const auto bytes = build_mmtp_over_ipv4(0x02, 0x0a000001, 0x0a000002, h, 100);
+    small_bytes bytes;
+    build_mmtp_over_ipv4(bytes, 0x02, 0x0a000001, 0x0a000002, h, 100);
 
     byte_reader r(bytes);
     const auto eth = parse_eth(r);
@@ -369,7 +454,8 @@ TEST(build, mmtp_over_l2_stack_parses_back)
 {
     header h;
     h.experiment = make_experiment_id(experiments::mu2e, 2);
-    const auto bytes = build_mmtp_over_l2(0x02, 0x03, h);
+    small_bytes bytes;
+    build_mmtp_over_l2(bytes, 0x02, 0x03, h);
     byte_reader r(bytes);
     const auto eth = parse_eth(r);
     ASSERT_TRUE(eth.has_value());
