@@ -1,6 +1,7 @@
 #include "netsim/engine.hpp"
 
 #include <chrono>
+#include <limits>
 
 namespace mmtp::netsim {
 
@@ -30,6 +31,8 @@ std::uint64_t engine::run()
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t n = 0;
     while (step()) ++n;
+    // Drained: every key <= now has been dispatched, reserved ones included.
+    pos_seq_ = std::numeric_limits<std::uint64_t>::max();
     profile_.wall_seconds += seconds_since(t0);
     return n;
 }
@@ -43,7 +46,11 @@ std::uint64_t engine::run_until(sim_time until)
         step();
         ++n;
     }
-    if (now_ < until) now_ = until;
+    // Every key <= until has been dispatched, reserved ones included.
+    if (now_ <= until) {
+        now_ = until;
+        pos_seq_ = std::numeric_limits<std::uint64_t>::max();
+    }
     profile_.wall_seconds += seconds_since(t0);
     return n;
 }

@@ -41,8 +41,7 @@ struct engine_profile {
 };
 
 /// The concrete single-threaded event loop; implements scheduler and is
-/// `final` so engine-typed callers (and cached as_engine() pointers)
-/// devirtualize every call.
+/// `final` so engine-typed callers devirtualize every call.
 class engine final : public scheduler {
 public:
     using action = inline_task;
@@ -51,8 +50,6 @@ public:
 
     /// Current simulated time.
     sim_time now() const override { return now_; }
-
-    engine* as_engine() override { return this; }
 
     // Scheduling and dispatch are defined inline: the compiler then sees
     // the concrete closure type from construction through slab parking,
@@ -130,6 +127,29 @@ public:
         return first;
     }
 
+    /// scheduler::schedule_reserved on the inlined slab path.
+    template <typename F>
+    void schedule_reserved(sim_time at, std::uint64_t seq, task_class tc, F&& fn)
+    {
+        park(at, seq, tc, std::forward<F>(fn));
+    }
+
+    /// True once dispatch has reached key (at, seq), reserved or not.
+    /// Inside an event the dispatch position is that event's key.
+    /// Outside dispatch it is the last key step() popped, cancelled keys
+    /// included (at set-up, no key yet: position (0, 0)); run() moves it
+    /// past every key <= now() once the queue drains, and
+    /// run_until(until) past every key <= until. A component that
+    /// reserved a key instead of scheduling it asks this to learn whether
+    /// that key's event would have run by now. A reserved key never moves
+    /// now(): after run() drains, now() is the last dispatched event's
+    /// time even when a reserved key lies later (a link's horizon after
+    /// its last packet was lost on the wire).
+    bool reached(sim_time at, std::uint64_t seq) const
+    {
+        return now_ > at || (now_ == at && pos_seq_ >= seq);
+    }
+
     /// Runs events until the queue empties. Returns events executed.
     std::uint64_t run();
 
@@ -143,6 +163,7 @@ public:
         while (!events_.empty()) {
             const key k = events_.pop_move();
             now_ = k.at;
+            pos_seq_ = k.seq;
             if (dead_[k.slot]) {
                 reap(k.slot);
                 continue;
@@ -273,6 +294,8 @@ private:
     }
 
     sim_time now_{sim_time::zero()};
+    // Dispatch position (now_, pos_seq_); see reached().
+    std::uint64_t pos_seq_{0};
     std::uint64_t next_seq_{0};
     dary_heap<key, sooner> events_;
     std::vector<std::unique_ptr<action[]>> blocks_;

@@ -8,10 +8,9 @@
 
 namespace mmtp::netsim {
 
-link::link(scheduler& sched, rng noise, node& to, unsigned ingress_port_at_dst,
+link::link(engine& eng, rng noise, node& to, unsigned ingress_port_at_dst,
            const link_config& cfg, std::unique_ptr<queue_disc> q)
-    : sched_(sched),
-      fast_(sched.as_engine()),
+    : eng_(eng),
       noise_(noise),
       to_(to),
       ingress_port_at_dst_(ingress_port_at_dst),
@@ -34,11 +33,11 @@ void link::set_up(bool up)
 {
     if (up_ == up) return;
     up_ = up;
-    trace::emit(lnow(), trace_site_, up_ ? trace::hop::link_up : trace::hop::link_down,
+    trace::emit(eng_.now(), trace_site_, up_ ? trace::hop::link_up : trace::hop::link_down,
                 0, queue_->packet_depth());
     if (state_watcher_) state_watcher_(up_);
     // Repair restarts the serializer on whatever survived in the queue.
-    if (up_) kick();
+    if (up_) resume();
 }
 
 void link::send(packet&& p)
@@ -47,7 +46,7 @@ void link::send(packet&& p)
     // and burst-aware senders interleave in one coherent virtual-time
     // order. Non-burst links (the default) never reach the pump.
     if (burst_enabled()) {
-        send_at(lnow(), std::move(p));
+        send_at(eng_.now(), std::move(p));
         return;
     }
     const std::uint64_t pid = p.id;
@@ -55,51 +54,73 @@ void link::send(packet&& p)
     if (!up_) {
         stats_.dropped_down++;
         stats_.dropped_down_bytes += wire;
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, pid, wire,
+        trace::emit(eng_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::link_down);
         return;
     }
     if (wire > cfg_.mtu) {
         stats_.dropped_oversize++;
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, pid, wire,
+        trace::emit(eng_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::oversize);
         return;
     }
     // Cut-through: an idle serializer with an empty queue takes the
     // packet directly — same timing, same statistics, two fewer moves.
     // Depth watchers disable it (they must observe the transient depth).
-    if (!busy_ && !depth_watcher_ && queue_->empty() && queue_->would_accept(p)) {
+    if (!busy() && !depth_watcher_ && queue_->empty() && queue_->would_accept(p)) {
         queue_->note_passthrough(wire);
-        busy_ = true;
-        trace::emit(lnow(), trace_site_, trace::hop::link_enqueue, pid, wire);
-        trace::emit(lnow(), trace_site_, trace::hop::link_dequeue, pid, wire);
+        trace::emit(eng_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
+        trace::emit(eng_.now(), trace_site_, trace::hop::link_dequeue, pid, wire);
         transmit(std::move(p));
         return;
     }
     if (!queue_->enqueue(std::move(p))) {
         // queue discipline recorded the drop
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, pid, wire,
+        trace::emit(eng_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::queue_full);
         if (depth_watcher_) depth_watcher_(queue_->byte_depth());
         return;
     }
-    trace::emit(lnow(), trace_site_, trace::hop::link_enqueue, pid, wire);
+    trace::emit(eng_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
     if (depth_watcher_) depth_watcher_(queue_->byte_depth());
-    kick();
+    resume();
 }
 
+/// Starts the next queued packet now if the serializer is free, else at
+/// its horizon.
+void link::resume()
+{
+    if (!busy())
+        kick();
+    else if (!queue_->empty())
+        arm_kick();
+}
+
+/// Runs with the serializer free: starts the next queued packet.
 void link::kick()
 {
-    if (busy_ || !up_) return;
+    if (!up_) return;
     packet next;
     if (!queue_->dequeue_into(next)) return;
-    trace::emit(lnow(), trace_site_, trace::hop::link_dequeue, next.id, next.wire_size());
-    busy_ = true;
+    trace::emit(eng_.now(), trace_site_, trace::hop::link_dequeue, next.id, next.wire_size());
     transmit(std::move(next));
+}
+
+/// Schedules the kick under the horizon key, the key a serializer-free
+/// event scheduled at transmit would have; at most one is pending.
+void link::arm_kick()
+{
+    if (kick_armed_) return;
+    kick_armed_ = true;
+    eng_.schedule_reserved(free_at_, free_seq_, task_class::link_tx, [this] {
+        kick_armed_ = false;
+        kick();
+    });
 }
 
 void link::transmit(packet&& p)
 {
+    const sim_time now = eng_.now();
     const auto wire = p.wire_size();
     const auto tx = cfg_.rate.transmission_time(wire);
     stats_.busy = stats_.busy + tx; // the serializer runs even for lost packets
@@ -109,7 +130,7 @@ void link::transmit(packet&& p)
     if (cfg_.drop_probability > 0.0 && noise_.chance(cfg_.drop_probability)) {
         stats_.dropped_random++;
         stats_.dropped_random_bytes += wire;
-        trace::emit(lnow(), trace_site_, trace::hop::link_drop, p.id, wire,
+        trace::emit(now, trace_site_, trace::hop::link_drop, p.id, wire,
                     trace::reason::random_loss);
         drop = true;
     } else {
@@ -121,13 +142,15 @@ void link::transmit(packet&& p)
         if (noise_.chance(pkt_prob < 1.0 ? pkt_prob : 1.0)) {
             stats_.corrupted++;
             p.corrupted = true; // delivered, then dropped by the receiver
-            trace::emit(lnow(), trace_site_, trace::hop::link_corrupt, p.id, wire);
+            trace::emit(now, trace_site_, trace::hop::link_corrupt, p.id, wire);
         }
     }
 
-    // Arrival at the far end after serialization + propagation.
+    // Arrival at the far end after serialization + propagation. Its seq
+    // is reserved before the horizon's, so the two keys order exactly as
+    // an arrival event and then a serializer-free event scheduled here.
     if (!drop) {
-        p.stamp = lnow() + tx + cfg_.propagation; // exact arrival time
+        p.stamp = now + tx + cfg_.propagation; // exact arrival time
         if (coord_ != nullptr) {
             // Partition cut: stage into the destination shard's mailbox;
             // the coordinator delivers it at the next epoch barrier
@@ -136,21 +159,34 @@ void link::transmit(packet&& p)
             coord_->post_arrival(shard_from_, shard_to_, p.stamp, std::move(p), to_,
                                  ingress_port_at_dst_);
         } else {
-            auto arrival = [this, pkt = std::move(p)]() mutable {
-                pkt.hops++;
-                to_.deliver(std::move(pkt), ingress_port_at_dst_);
-            };
-            static_assert(inline_task::stored_inline<decltype(arrival)>,
-                          "link arrival closure must not heap-allocate");
-            sched_in(tx + cfg_.propagation, task_class::link_arrival, std::move(arrival));
+            const sim_time at = p.stamp;
+            const std::uint64_t seq = eng_.reserve_seq(1);
+            const bool idle = in_flight_.empty();
+            in_flight_.push_back(in_flight{seq, std::move(p)});
+            if (idle)
+                eng_.schedule_reserved(at, seq, task_class::link_arrival, [this] { arrive(); });
         }
     }
 
-    // Serializer frees after the transmission time; send the next packet.
-    sched_in(tx, task_class::link_tx, [this] {
-        busy_ = false;
-        kick();
-    });
+    // The serializer frees after the transmission time. A kick waits at
+    // that horizon only while a packet is queued behind it.
+    free_at_ = now + tx;
+    free_seq_ = eng_.reserve_seq(1);
+    if (!queue_->empty()) arm_kick();
+}
+
+/// Delivers the in-flight head, after scheduling the next arrival (so a
+/// delivery that transmits on this link again finds the FIFO consistent).
+void link::arrive()
+{
+    in_flight head = in_flight_.pop_front();
+    if (!in_flight_.empty()) {
+        const in_flight& next = in_flight_.front();
+        eng_.schedule_reserved(next.pkt.stamp, next.seq, task_class::link_arrival,
+                               [this] { arrive(); });
+    }
+    head.pkt.hops++;
+    to_.deliver(std::move(head.pkt), ingress_port_at_dst_);
 }
 
 // --- burst machinery ----------------------------------------------------
@@ -168,17 +204,17 @@ void link::send_at(sim_time t, packet&& p)
     if (!burst_enabled()) {
         // Degrade to the per-packet path: immediately when due, else via
         // an event at the packet's virtual send time.
-        if (t <= lnow()) {
+        if (t <= eng_.now()) {
             send(std::move(p));
             return;
         }
         auto push = [this, pkt = std::move(p)]() mutable { send(std::move(pkt)); };
         static_assert(inline_task::stored_inline<decltype(push)>,
                       "deferred link send closure must not heap-allocate");
-        sched_at(t, task_class::link_tx, std::move(push));
+        eng_.schedule_at(t, task_class::link_tx, std::move(push));
         return;
     }
-    const sim_time now = lnow();
+    const sim_time now = eng_.now();
     p.stamp = t < now ? now : t;
     const std::uint64_t pid = p.id;
     const std::uint64_t wire = p.wire_size();
@@ -200,7 +236,7 @@ void link::send_at(sim_time t, packet&& p)
         pump_scheduled_ = true;
         // Same-instant FIFO means this runs after every send_at from the
         // currently-executing event — one pump pass per sending instant.
-        sched_at(now, task_class::link_tx, [this] { pump(); });
+        eng_.schedule_at(now, task_class::link_tx, [this] { pump(); });
     }
 }
 
@@ -320,7 +356,7 @@ void link::flush_arrivals()
     };
     static_assert(inline_task::stored_inline<decltype(deliver)>,
                   "burst arrival closure must not heap-allocate");
-    sched_at(ab->pkts[0].stamp, task_class::link_arrival, std::move(deliver));
+    eng_.schedule_at(ab->pkts[0].stamp, task_class::link_arrival, std::move(deliver));
 }
 
 link::arrival_burst* link::acquire_burst()

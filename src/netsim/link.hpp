@@ -7,6 +7,13 @@
 // are delivered with `corrupted` set (receivers drop them after the
 // integrity check fails, which is how loss appears on capacity-planned
 // WAN paths, §4). A separate `drop_probability` models outright loss.
+//
+// On the classic path (burst == 1) a link holds at most two engine keys:
+// the head of its in-flight FIFO, and a serializer kick that exists only
+// while a packet waits behind the serializer. Both are reserved keys
+// (scheduler::reserve_seq), so every dispatch keeps the (time, seq) a
+// per-packet arrival event and a per-packet serializer-free event would
+// have had; DESIGN.md §12 gives the ordering argument.
 #pragma once
 
 #include "common/ring_buffer.hpp"
@@ -75,10 +82,10 @@ class link {
 public:
     /// `to` must outlive the link. A custom queue discipline may be
     /// supplied; otherwise a drop-tail FIFO of the configured capacity.
-    /// Scheduling goes through the narrow scheduler seam; when the
-    /// scheduler is a concrete engine (always, today) the link caches the
-    /// downcast and keeps the fully inlined slab path.
-    link(scheduler& sched, rng noise, node& to, unsigned ingress_port_at_dst,
+    /// The link runs on `eng`, its source node's shard engine: the
+    /// serializer horizon compares reserved keys with that engine's
+    /// dispatch position (engine::reached).
+    link(engine& eng, rng noise, node& to, unsigned ingress_port_at_dst,
          const link_config& cfg, std::unique_ptr<queue_disc> q = nullptr);
 
     /// Queues the packet for transmission; drops it (recording stats)
@@ -142,7 +149,7 @@ public:
     /// The scheduling domain this link's events run in (the source
     /// node's domain — egress queue, serializer and fault timers all
     /// live on the sending side).
-    scheduler& sched() { return sched_; }
+    scheduler& sched() { return eng_; }
 
     /// Marks this link as a partition cut: arrivals are staged into the
     /// coordinator's mailbox for shard `to` instead of being scheduled
@@ -153,26 +160,14 @@ public:
     bool cross_shard() const { return coord_ != nullptr; }
 
 private:
+    /// The serializer is busy until dispatch reaches the horizon key
+    /// (free_at_, free_seq_), the key its free event would have had.
+    bool busy() const { return !eng_.reached(free_at_, free_seq_); }
+    void resume();
     void kick();
+    void arm_kick();
     void transmit(packet&& p);
-
-    sim_time lnow() const { return fast_ ? fast_->now() : sched_.now(); }
-    template <typename F>
-    void sched_in(sim_duration d, task_class tc, F&& fn)
-    {
-        if (fast_)
-            fast_->schedule_in(d, tc, std::forward<F>(fn));
-        else
-            sched_.schedule_in(d, tc, std::forward<F>(fn));
-    }
-    template <typename F>
-    void sched_at(sim_time t, task_class tc, F&& fn)
-    {
-        if (fast_)
-            fast_->schedule_at(t, tc, std::forward<F>(fn));
-        else
-            sched_.schedule_at(t, tc, std::forward<F>(fn));
-    }
+    void arrive();
 
     // --- burst machinery (active only when burst_enabled()) ---
     void pump();
@@ -189,8 +184,7 @@ private:
     arrival_burst* acquire_burst();
     void release_burst(arrival_burst* ab);
 
-    scheduler& sched_;
-    engine* fast_; // sched_.as_engine(), cached once at construction
+    engine& eng_;
     shard_coordinator* coord_{nullptr};
     unsigned shard_from_{0};
     unsigned shard_to_{0};
@@ -199,12 +193,24 @@ private:
     unsigned ingress_port_at_dst_;
     link_config cfg_;
     std::unique_ptr<queue_disc> queue_;
-    bool busy_{false};
     bool up_{true};
     std::uint32_t trace_site_{0};
     link_stats stats_;
     std::function<void(std::uint64_t)> depth_watcher_;
     std::function<void(bool)> state_watcher_;
+
+    // Classic-path state. The horizon's initial key (0, 0) counts as
+    // reached, so a fresh link is idle; kick_armed_ is set while the
+    // kick is scheduled under the horizon key. in_flight_ holds arrivals
+    // in key order, (pkt.stamp, seq); only its head has an engine key.
+    struct in_flight {
+        std::uint64_t seq;
+        packet pkt;
+    };
+    sim_time free_at_{sim_time::zero()};
+    std::uint64_t free_seq_{0};
+    bool kick_armed_{false};
+    ring_buffer<in_flight> in_flight_;
 
     // Burst state. sched_free_at_ is the virtual serializer horizon —
     // the time the line frees after every committed packet; pending_

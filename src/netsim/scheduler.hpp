@@ -21,8 +21,8 @@
 // shadow the ones here, so engine-typed callers keep the fully inlined
 // slab path (zero virtual dispatch on the packet hot path); callers that
 // hold a `scheduler&` pay one type-erased inline_task hand-off per event.
-// Hot components (link) additionally cache `as_engine()` to stay
-// devirtualized even when constructed through the interface.
+// Links take their shard's `engine&` directly: the serializer horizon
+// compares reserved keys with the engine's dispatch position.
 //
 // Migration note: engine& converts to scheduler& implicitly, so every
 // pre-existing call site that passed an engine keeps compiling — see
@@ -36,8 +36,6 @@
 
 namespace mmtp::netsim {
 
-class engine;
-
 /// Coarse handler classes for engine profiling. Schedulers may tag each
 /// event; untagged events count as `generic`. The tag rides in padding of
 /// the heap key, so tagging costs nothing in size or ordering; it is a
@@ -45,7 +43,7 @@ class engine;
 enum class task_class : std::uint8_t {
     generic = 0,
     timer,        // telemetry probes, samplers, scripted scenario steps
-    link_tx,      // link serializer-free events
+    link_tx,      // link serializer kicks and burst pumps
     link_arrival, // packet arrival at the far end of a link
     pipeline,     // programmable-element pipeline egress
     protocol,     // MMTP/TCP/UDP endpoint timers and pumps
@@ -139,12 +137,6 @@ public:
     {
         post_reserved(at, seq, tc, inline_task(std::forward<F>(fn)));
     }
-
-    /// Concrete-engine escape hatch for hot paths: non-null when this
-    /// scheduler *is* an engine, letting callers cache the downcast once
-    /// and keep the fully inlined schedule path. Interface-only
-    /// schedulers (the coordinator's barrier control plane) return null.
-    virtual engine* as_engine() { return nullptr; }
 
 protected:
     /// Type-erased core: enqueue `t` at `at` under class `tc`.
