@@ -1,6 +1,5 @@
 #include "common/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <unordered_set>
 
@@ -88,30 +87,6 @@ std::vector<record> flight_recorder::events() const
     out.reserve(n);
     for (std::uint64_t i = head_ - n; i < head_; ++i) out.push_back(ring_[i & mask_]);
     return out;
-}
-
-void flight_recorder::absorb(const flight_recorder& other)
-{
-    // Re-intern the other ring's site table (slot 0 stays "unnamed").
-    std::vector<std::uint32_t> remap(other.site_count(), 0);
-    for (std::uint32_t i = 1; i < other.site_count(); ++i)
-        remap[i] = site(other.site_name(i));
-
-    std::vector<record> merged = events();
-    merged.reserve(merged.size() + other.events().size());
-    for (record r : other.events()) {
-        r.site = r.site < remap.size() ? remap[r.site] : 0;
-        merged.push_back(r);
-    }
-    // Stable: equal timestamps keep this-ring-before-other-ring order, so
-    // absorbing shards in index order is deterministic.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const record& a, const record& b) { return a.at_ns < b.at_ns; });
-
-    const std::size_t keep = merged.size() < ring_.size() ? merged.size() : ring_.size();
-    const std::size_t skip = merged.size() - keep; // shed oldest on overflow
-    for (std::size_t i = 0; i < keep; ++i) ring_[i] = merged[skip + i];
-    head_ = keep;
 }
 
 std::vector<record> flight_recorder::packet_events(std::uint64_t packet_id) const

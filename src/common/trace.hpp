@@ -164,15 +164,6 @@ public:
     /// Renders records as an aligned, deterministic text table.
     std::string format_timeline(const std::vector<record>& events) const;
 
-    /// Merges another recorder's surviving records into this ring
-    /// (post-run, cold path): `other`'s site names are re-interned here,
-    /// its records remapped and the combined set stable-sorted by
-    /// timestamp. The sharded runner gives each shard its own ring and
-    /// absorbs them after the run, so cross-shard timelines join up.
-    /// Oldest records are shed if the merge exceeds capacity; emitted()
-    /// afterwards counts surviving records only.
-    void absorb(const flight_recorder& other);
-
 private:
     std::vector<record> ring_;
     std::uint64_t mask_{0};
@@ -183,12 +174,8 @@ private:
 // --- global installation -----------------------------------------------
 //
 // Each simulation thread observes through at most one recorder at a
-// time. The pointer is thread_local: a single-threaded run behaves as
-// before (one process-wide recorder), while a sharded run gives every
-// shard worker its own recorder — emits stay lock-free and race-free,
-// and the coordinator merges per-shard rings deterministically after the
-// run (netsim::shard_coordinator::set_recorder). Components read the
-// installed pointer on every emit, so installation can happen after
+// time; the pointer is thread_local, so emits stay lock-free. Components
+// read the installed pointer on every emit, so installation can happen after
 // wiring. scoped_recorder un-installs on destruction, keeping sequential
 // scenarios (tests, reruns) independent.
 

@@ -27,7 +27,7 @@ const char* posture_name(posture p)
     return "?";
 }
 
-policy_engine::policy_engine(netsim::scheduler& eng, resource_map map,
+policy_engine::policy_engine(netsim::engine& eng, resource_map map,
                              policy_engine_config cfg)
     : eng_(eng), map_(std::move(map)), cfg_(std::move(cfg))
 {

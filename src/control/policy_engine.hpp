@@ -29,7 +29,7 @@
 #include "control/health_monitor.hpp"
 #include "control/policy.hpp"
 #include "control/resource_map.hpp"
-#include "netsim/scheduler.hpp"
+#include "netsim/engine.hpp"
 #include "netsim/link.hpp"
 #include "pnet/element.hpp"
 #include "pnet/stages.hpp"
@@ -118,7 +118,7 @@ struct policy_engine_stats {
 
 class policy_engine {
 public:
-    policy_engine(netsim::scheduler& eng, resource_map map, policy_engine_config cfg);
+    policy_engine(netsim::engine& eng, resource_map map, policy_engine_config cfg);
 
     // --- wiring (before start()) -----------------------------------------
     /// Attaches a boundary element whose mode_transition_stage this
@@ -190,7 +190,7 @@ private:
     std::uint64_t bp_total() const;
     std::uint64_t occupancy_now() const;
 
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     resource_map map_;
     policy_engine_config cfg_;
     std::vector<attached> elements_;

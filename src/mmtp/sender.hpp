@@ -90,7 +90,7 @@ public:
     /// emission event per call is pending at a time — each one schedules
     /// the next — yet every message is dispatched under the key it would
     /// get if all were scheduled now, in source order (see
-    /// scheduler::reserve_seq). Returns messages pulled.
+    /// engine::reserve_seq). Returns messages pulled.
     std::uint64_t drive(daq::message_source& src, std::uint64_t limit = 0);
 
     const sender_stats& stats() const { return stats_; }

@@ -66,7 +66,7 @@ public:
                                wire::control_type type, std::vector<std::uint8_t> body);
 
     netsim::host& host() { return host_; }
-    netsim::scheduler& sim() { return host_.sim(); }
+    netsim::engine& sim() { return host_.sim(); }
 
     struct stack_stats {
         std::uint64_t data_in{0};

@@ -17,7 +17,6 @@
 #include "common/dary_heap.hpp"
 #include "common/inline_task.hpp"
 #include "common/units.hpp"
-#include "netsim/scheduler.hpp"
 
 #include <array>
 #include <cstdint>
@@ -25,6 +24,34 @@
 #include <vector>
 
 namespace mmtp::netsim {
+
+/// Coarse handler classes for engine profiling. Callers may tag each
+/// event; untagged events count as `generic`. The tag rides in padding of
+/// the heap key, so tagging costs nothing in size or ordering; it is a
+/// profiling label only and never affects dispatch.
+enum class task_class : std::uint8_t {
+    generic = 0,
+    timer,        // telemetry probes, samplers, scripted scenario steps
+    link_tx,      // link serializer kicks and burst pumps
+    link_arrival, // packet arrival at the far end of a link
+    pipeline,     // programmable-element pipeline egress
+    protocol,     // MMTP/TCP/UDP endpoint timers and pumps
+    control,      // fault scheduler, control-plane events
+};
+constexpr std::size_t task_class_count = 7;
+
+const char* task_class_name(task_class c);
+
+/// Token for a timer scheduled with engine::schedule_cancellable_in().
+/// Value-semantic; default-constructed means inactive. A handle goes
+/// stale once its timer fires or is cancelled — cancel() detects
+/// staleness via the generation counter and becomes a no-op.
+struct timer_handle {
+    static constexpr std::uint32_t no_slot = 0xffffffffu;
+    std::uint32_t slot{no_slot};
+    std::uint32_t gen{0};
+    bool active() const { return slot != no_slot; }
+};
 
 /// Per-handler-class event counts plus simulated-vs-wall accounting,
 /// filled in by engine::run()/run_until(). Event counts are deterministic
@@ -40,16 +67,15 @@ struct engine_profile {
     double wall_seconds{0.0};
 };
 
-/// The concrete single-threaded event loop; implements scheduler and is
-/// `final` so engine-typed callers devirtualize every call.
-class engine final : public scheduler {
+/// The single-threaded event loop every component schedules on.
+class engine {
 public:
     using action = inline_task;
 
-    static constexpr std::uint32_t no_slot = scheduler_no_slot;
+    static constexpr std::uint32_t no_slot = timer_handle::no_slot;
 
     /// Current simulated time.
-    sim_time now() const override { return now_; }
+    sim_time now() const { return now_; }
 
     // Scheduling and dispatch are defined inline: the compiler then sees
     // the concrete closure type from construction through slab parking,
@@ -105,7 +131,7 @@ public:
     /// the heap — the event never fires. Returns false (no-op) for
     /// inactive or stale handles, and for a timer cancelling itself from
     /// inside its own callback. Deactivates `h` either way.
-    bool cancel(timer_handle& h) override
+    bool cancel(timer_handle& h)
     {
         const std::uint32_t slot = h.slot;
         const std::uint32_t gen = h.gen;
@@ -120,14 +146,25 @@ public:
         return true;
     }
 
-    std::uint64_t reserve_seq(std::uint64_t n) override
+    /// Reserves `n` consecutive insertion-order numbers and returns the
+    /// first. Together with schedule_reserved() this lets a component
+    /// keep one pending event in place of `n` events it would otherwise
+    /// schedule right now, yet dispatch each of them with exactly the
+    /// (time, insertion order) key it would have had.
+    std::uint64_t reserve_seq(std::uint64_t n)
     {
         const std::uint64_t first = next_seq_;
         next_seq_ += n;
         return first;
     }
 
-    /// scheduler::schedule_reserved on the inlined slab path.
+    /// Schedules `fn` at `at` under `seq`, a number from reserve_seq().
+    /// The one rule: each reserved key (at, seq) must be scheduled before
+    /// any larger key is dispatched. Scheduling key i+1 from inside the
+    /// event of key i, with keys increasing, always satisfies it — every
+    /// key dispatched before then is smaller than key i — so dispatch
+    /// order is the same as if all of them had been scheduled up front.
+    /// The rule also implies at >= now().
     template <typename F>
     void schedule_reserved(sim_time at, std::uint64_t seq, task_class tc, F&& fn)
     {
@@ -194,29 +231,8 @@ public:
     const engine_profile& profile() const { return profile_; }
 
     /// Earliest pending live event time (reaping cancelled keys at the
-    /// front). False when drained. The shard coordinator polls this to
-    /// pick each conservative epoch's base time.
+    /// front). False when drained.
     bool next_event_at(sim_time& at) { return next_at(at); }
-
-protected:
-    // scheduler type-erased core: one extra inline_task relocation into
-    // the slab, then the identical park/dispatch machinery.
-    void post(sim_time at, task_class tc, inline_task&& t) override
-    {
-        park(at < now_ ? now_ : at, tc, std::move(t));
-    }
-
-    timer_handle post_cancellable(sim_time at, task_class tc, inline_task&& t) override
-    {
-        const std::uint32_t slot = park(at < now_ ? now_ : at, tc, std::move(t));
-        return timer_handle{slot, gen_[slot]};
-    }
-
-    void post_reserved(sim_time at, std::uint64_t seq, task_class tc,
-                       inline_task&& t) override
-    {
-        park(at, seq, tc, std::move(t));
-    }
 
 private:
     struct key {

@@ -4,24 +4,18 @@ namespace mmtp::netsim {
 
 void fault_scheduler::fail_link_at(link& l, sim_time at)
 {
-    l.sched().schedule_at(at, [this, &l] {
+    eng_.schedule_at(at, [this, &l] {
         if (!l.up()) return;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stats_.link_downs++;
-        }
+        stats_.link_downs++;
         l.set_up(false);
     });
 }
 
 void fault_scheduler::repair_link_at(link& l, sim_time at)
 {
-    l.sched().schedule_at(at, [this, &l] {
+    eng_.schedule_at(at, [this, &l] {
         if (l.up()) return;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stats_.link_ups++;
-        }
+        stats_.link_ups++;
         l.set_up(true);
     });
 }
@@ -34,7 +28,6 @@ void fault_scheduler::flap_link(link& l, sim_time first_down, sim_duration down_
         const sim_time down_at = first_down + period * static_cast<std::int64_t>(i);
         fail_link_at(l, down_at);
         repair_link_at(l, down_at + down_for);
-        std::lock_guard<std::mutex> lk(mu_);
         stats_.flap_cycles_scheduled++;
     }
 }
@@ -42,14 +35,11 @@ void fault_scheduler::flap_link(link& l, sim_time first_down, sim_duration down_
 void fault_scheduler::corruption_burst(link& l, sim_time at, sim_duration duration,
                                        double ber)
 {
-    l.sched().schedule_at(at, [this, &l, duration, ber] {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stats_.corruption_bursts++;
-        }
+    eng_.schedule_at(at, [this, &l, duration, ber] {
+        stats_.corruption_bursts++;
         const double saved = l.config().bit_error_rate;
         l.set_bit_error_rate(ber);
-        l.sched().schedule_in(duration, [&l, saved] { l.set_bit_error_rate(saved); });
+        eng_.schedule_in(duration, [&l, saved] { l.set_bit_error_rate(saved); });
     });
 }
 
@@ -61,26 +51,18 @@ void fault_scheduler::dispatch_hooks(
     // clearing itself), which mutates the live vector under iteration.
     // The snapshot keeps dispatch well-defined: everything registered
     // when the event fired runs exactly once; additions wait for the
-    // next event; removals do not abort the current round. Snapshot under
-    // the lock, run outside it — hooks re-enter on_* / clear_hooks().
-    std::vector<std::function<void()>> snapshot;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = hooks.find(&n);
-        if (it == hooks.end()) return;
-        snapshot = it->second;
-    }
+    // next event; removals do not abort the current round.
+    auto it = hooks.find(&n);
+    if (it == hooks.end()) return;
+    const std::vector<std::function<void()>> snapshot = it->second;
     for (const auto& fn : snapshot) fn();
 }
 
 void fault_scheduler::blackout_node(node& n, sim_time at)
 {
-    n.sim().schedule_at(at, [this, &n] {
+    eng_.schedule_at(at, [this, &n] {
         if (!n.powered()) return;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stats_.node_blackouts++;
-        }
+        stats_.node_blackouts++;
         n.set_powered(false);
         dispatch_hooks(blackout_hooks_, n);
     });
@@ -88,12 +70,9 @@ void fault_scheduler::blackout_node(node& n, sim_time at)
 
 void fault_scheduler::restore_node(node& n, sim_time at)
 {
-    n.sim().schedule_at(at, [this, &n] {
+    eng_.schedule_at(at, [this, &n] {
         if (n.powered()) return;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stats_.node_restores++;
-        }
+        stats_.node_restores++;
         n.set_powered(true);
         dispatch_hooks(restore_hooks_, n);
     });
@@ -101,19 +80,16 @@ void fault_scheduler::restore_node(node& n, sim_time at)
 
 void fault_scheduler::on_blackout(node& n, std::function<void()> fn)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     blackout_hooks_[&n].push_back(std::move(fn));
 }
 
 void fault_scheduler::on_restore(node& n, std::function<void()> fn)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     restore_hooks_[&n].push_back(std::move(fn));
 }
 
 void fault_scheduler::clear_hooks(node& n)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     blackout_hooks_.erase(&n);
     restore_hooks_.erase(&n);
 }

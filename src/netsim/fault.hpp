@@ -22,14 +22,13 @@
 #pragma once
 
 #include "common/units.hpp"
+#include "netsim/engine.hpp"
 #include "netsim/link.hpp"
 #include "netsim/node.hpp"
-#include "netsim/scheduler.hpp"
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <vector>
 
 namespace mmtp::netsim {
@@ -46,16 +45,11 @@ struct fault_stats {
 };
 
 /// Drives scripted fault events. Links and nodes must outlive the
-/// scheduler (they are owned by the network, as usual). Each fault event
-/// is scheduled on its *target's* scheduling domain (the link's or
-/// node's own engine), so scripts work unchanged under the shard
-/// coordinator; stats and hook registration are mutex-guarded because
-/// targets in different domains fire on different worker threads.
-/// Single-shard runs see the exact historical scheduling order — every
-/// target resolves to the one engine.
+/// scheduler (they are owned by the network, as usual), and must run on
+/// the engine the scheduler was built with.
 class fault_scheduler {
 public:
-    explicit fault_scheduler(scheduler& eng) : eng_(eng) {}
+    explicit fault_scheduler(engine& eng) : eng_(eng) {}
 
     /// Takes the link down at `at` (no-op if already down then).
     void fail_link_at(link& l, sim_time at);
@@ -103,16 +97,14 @@ public:
     /// call from inside a firing hook; see the re-entrancy note above).
     void clear_hooks(node& n);
 
-    /// Counters are updated under the internal mutex as events fire;
-    /// read them once the run is over (scenario reporting does).
+    /// Counters are updated as events fire.
     const fault_stats& stats() const { return stats_; }
 
 private:
     void dispatch_hooks(std::map<const node*, std::vector<std::function<void()>>>& hooks,
                         const node& n);
 
-    scheduler& eng_; // build-time default domain (unused by targeted events)
-    std::mutex mu_;  // guards stats_ and the hook maps across shard threads
+    engine& eng_;
     fault_stats stats_;
     std::map<const node*, std::vector<std::function<void()>>> blackout_hooks_;
     std::map<const node*, std::vector<std::function<void()>>> restore_hooks_;

@@ -1,10 +1,9 @@
 #include "netsim/link.hpp"
 
 #include "netsim/engine.hpp"
-#include "netsim/shard.hpp"
+#include "netsim/node.hpp"
 
 #include <limits>
-#include "netsim/node.hpp"
 
 namespace mmtp::netsim {
 
@@ -19,14 +18,6 @@ link::link(engine& eng, rng noise, node& to, unsigned ingress_port_at_dst,
 {
     if (cfg_.burst == 0) cfg_.burst = 1;
     if (cfg_.burst > max_burst) cfg_.burst = max_burst;
-}
-
-void link::set_cross_shard(shard_coordinator& coord, unsigned from, unsigned to)
-{
-    coord_ = &coord;
-    shard_from_ = from;
-    shard_to_ = to;
-    cfg_.burst = 1; // the burst pump is local-only; cuts use the classic path
 }
 
 void link::set_up(bool up)
@@ -151,21 +142,12 @@ void link::transmit(packet&& p)
     // an arrival event and then a serializer-free event scheduled here.
     if (!drop) {
         p.stamp = now + tx + cfg_.propagation; // exact arrival time
-        if (coord_ != nullptr) {
-            // Partition cut: stage into the destination shard's mailbox;
-            // the coordinator delivers it at the next epoch barrier
-            // (propagation >= lookahead guarantees that barrier comes
-            // before the arrival time).
-            coord_->post_arrival(shard_from_, shard_to_, p.stamp, std::move(p), to_,
-                                 ingress_port_at_dst_);
-        } else {
-            const sim_time at = p.stamp;
-            const std::uint64_t seq = eng_.reserve_seq(1);
-            const bool idle = in_flight_.empty();
-            in_flight_.push_back(in_flight{seq, std::move(p)});
-            if (idle)
-                eng_.schedule_reserved(at, seq, task_class::link_arrival, [this] { arrive(); });
-        }
+        const sim_time at = p.stamp;
+        const std::uint64_t seq = eng_.reserve_seq(1);
+        const bool idle = in_flight_.empty();
+        in_flight_.push_back(in_flight{seq, std::move(p)});
+        if (idle)
+            eng_.schedule_reserved(at, seq, task_class::link_arrival, [this] { arrive(); });
     }
 
     // The serializer frees after the transmission time. A kick waits at

@@ -11,7 +11,7 @@
 // On the classic path (burst == 1) a link holds at most two engine keys:
 // the head of its in-flight FIFO, and a serializer kick that exists only
 // while a packet waits behind the serializer. Both are reserved keys
-// (scheduler::reserve_seq), so every dispatch keeps the (time, seq) a
+// (engine::reserve_seq), so every dispatch keeps the (time, seq) a
 // per-packet arrival event and a per-packet serializer-free event would
 // have had; DESIGN.md §12 gives the ordering argument.
 #pragma once
@@ -22,7 +22,6 @@
 #include "common/units.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/queue.hpp"
-#include "netsim/scheduler.hpp"
 
 #include <array>
 #include <cstdint>
@@ -33,8 +32,6 @@
 namespace mmtp::netsim {
 
 class node;
-class engine;
-class shard_coordinator;
 
 /// Upper bound on packets per burst event (arrival buffers are
 /// preallocated at this size; link_config::burst is clamped to it).
@@ -82,8 +79,7 @@ class link {
 public:
     /// `to` must outlive the link. A custom queue discipline may be
     /// supplied; otherwise a drop-tail FIFO of the configured capacity.
-    /// The link runs on `eng`, its source node's shard engine: the
-    /// serializer horizon compares reserved keys with that engine's
+    /// The serializer horizon compares reserved keys with `eng`'s
     /// dispatch position (engine::reached).
     link(engine& eng, rng noise, node& to, unsigned ingress_port_at_dst,
          const link_config& cfg, std::unique_ptr<queue_disc> q = nullptr);
@@ -146,19 +142,6 @@ public:
     void set_trace_site(std::uint32_t site) { trace_site_ = site; }
     std::uint32_t trace_site() const { return trace_site_; }
 
-    /// The scheduling domain this link's events run in (the source
-    /// node's domain — egress queue, serializer and fault timers all
-    /// live on the sending side).
-    scheduler& sched() { return eng_; }
-
-    /// Marks this link as a partition cut: arrivals are staged into the
-    /// coordinator's mailbox for shard `to` instead of being scheduled
-    /// locally. netsim::network calls this at connect time; it also
-    /// rejects zero-propagation cuts and forces burst=1 so the pump
-    /// never crosses shards.
-    void set_cross_shard(shard_coordinator& coord, unsigned from, unsigned to);
-    bool cross_shard() const { return coord_ != nullptr; }
-
 private:
     /// The serializer is busy until dispatch reaches the horizon key
     /// (free_at_, free_seq_), the key its free event would have had.
@@ -185,9 +168,6 @@ private:
     void release_burst(arrival_burst* ab);
 
     engine& eng_;
-    shard_coordinator* coord_{nullptr};
-    unsigned shard_from_{0};
-    unsigned shard_to_{0};
     rng noise_;
     node& to_;
     unsigned ingress_port_at_dst_;

@@ -1,7 +1,6 @@
 #include "netsim/network.hpp"
 
 #include <deque>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace mmtp::netsim {
@@ -13,19 +12,8 @@ unsigned network::connect_simplex(node& a, node& b, const link_config& cfg,
     // packet came in; use the destination's current link count as a
     // stable identifier (mirrors typical port numbering).
     const unsigned ingress_at_b = b.port_count();
-    const unsigned sa = shard_of(a);
-    const unsigned sb = shard_of(b);
-    if (sa != sb && cfg.propagation.ns <= 0)
-        throw std::invalid_argument("link " + a.name() + " -> " + b.name() +
-                                    " crosses a shard cut with zero propagation "
-                                    "delay; cut links need real delay (it is the "
-                                    "conservative lookahead)");
-    auto l = std::make_unique<link>(coord_->shard(sa), root_rng_.fork(), b, ingress_at_b,
-                                    cfg, std::move(q));
-    if (sa != sb) {
-        coord_->note_cut_link(cfg.propagation);
-        l->set_cross_shard(*coord_, sa, sb);
-    }
+    auto l = std::make_unique<link>(*eng_, root_rng_.fork(), b, ingress_at_b, cfg,
+                                    std::move(q));
     const unsigned port = a.attach_link(std::move(l));
     edges_.push_back(edge{&a, &b, port});
     return port;

@@ -5,6 +5,7 @@
 // is populated by netsim::network after the topology is built.
 #pragma once
 
+#include "netsim/engine.hpp"
 #include "netsim/link.hpp"
 #include "netsim/packet.hpp"
 #include "wire/lower.hpp"
@@ -18,18 +19,13 @@
 
 namespace mmtp::netsim {
 
-class engine;
-
 using node_id = std::uint32_t;
 constexpr unsigned no_port = ~0u;
 
 class node {
 public:
-    /// `eng` is the node's scheduling domain — a concrete engine in
-    /// single-shard runs, a per-domain engine under the shard
-    /// coordinator. engine& converts implicitly, so pre-scheduler call
-    /// sites keep compiling unchanged.
-    node(scheduler& eng, std::string name, wire::ipv4_addr addr, wire::mac_addr mac)
+    /// `eng` is the engine the node and everything it hosts schedule on.
+    node(engine& eng, std::string name, wire::ipv4_addr addr, wire::mac_addr mac)
         : eng_(eng), name_(std::move(name)), addr_(addr), mac_(mac)
     {
     }
@@ -94,13 +90,13 @@ public:
     /// Resolves the egress port for `dst`; no_port when unroutable.
     unsigned route(wire::ipv4_addr dst) const;
 
-    scheduler& sim() { return eng_; }
+    engine& sim() { return eng_; }
     const std::string& name() const { return name_; }
     wire::ipv4_addr address() const { return addr_; }
     wire::mac_addr mac() const { return mac_; }
 
 protected:
-    scheduler& eng_;
+    engine& eng_;
 
 private:
     std::string name_;

@@ -54,11 +54,9 @@ struct packet {
     std::span<const std::uint8_t> header_view() const { return headers.view(); }
 };
 
-/// Monotonic packet-id source (one per scheduling domain; sharded runs
-/// give each shard a source with a disjoint starting offset).
+/// Monotonic packet-id source (netsim::network owns one per simulation).
 class packet_id_source {
 public:
-    explicit packet_id_source(std::uint64_t start = 0) : last_(start) {}
     std::uint64_t next() { return ++last_; }
 
 private:

@@ -70,7 +70,7 @@ element_profile alveo_profile()
     return element_profile{"alveo", sim_duration{1500}}; // ~1.5 us FPGA datapath
 }
 
-programmable_switch::programmable_switch(netsim::scheduler& eng, std::string nm,
+programmable_switch::programmable_switch(netsim::engine& eng, std::string nm,
                                          wire::ipv4_addr addr, wire::mac_addr mc,
                                          element_profile profile)
     : node(eng, std::move(nm), addr, mc), profile_(std::move(profile))

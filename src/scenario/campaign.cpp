@@ -47,13 +47,6 @@ bool topology_sweeps_trace(const std::string& t)
     return t == "chaos" || t == "overload" || t == "shapeshift";
 }
 
-bool topology_sweeps_shards(const std::string& t)
-{
-    // Only the partitioned topologies (multi-domain node placement) have
-    // anything to shard; everywhere else extra shards just idle.
-    return t == "chaos" || t == "soak";
-}
-
 bool spec_sweeps_persist(const scenario_spec& s)
 {
     // Only chaos has the persistence toggle, and a kill-and-revive
@@ -74,7 +67,6 @@ axes axes_of(const scenario_spec& s)
     else if (s.topology == "overload") ax.trace = s.overload.trace;
     else if (s.topology == "shapeshift") ax.trace = s.shapeshift.trace;
     if (s.topology == "chaos") ax.persist = s.chaos.persist;
-    ax.shards = s.shards();
     return ax;
 }
 
@@ -85,8 +77,7 @@ std::string axes::label() const
     return "burst=" + std::to_string(burst)
         + " policy=" + (closed_loop ? "closed_loop" : "static")
         + " trace=" + (trace ? "on" : "off")
-        + " persist=" + (persist ? "on" : "off")
-        + " shards=" + std::to_string(shards);
+        + " persist=" + (persist ? "on" : "off");
 }
 
 std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt)
@@ -102,24 +93,19 @@ std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt)
         values(topology_sweeps_policy(spec.topology), base.closed_loop);
     const auto traces = values(topology_sweeps_trace(spec.topology), base.trace);
     const auto persists = values(spec_sweeps_persist(spec), base.persist);
-    const auto shard_counts = topology_sweeps_shards(spec.topology)
-        ? std::vector<std::uint32_t>{1, 2}
-        : std::vector<std::uint32_t>{base.shards};
 
     std::vector<axes> out;
     for (std::uint32_t b : bursts)
         for (bool pol : policies)
             for (bool tr : traces)
-                for (bool pe : persists)
-                    for (std::uint32_t sh : shard_counts) {
-                        axes ax = base;
-                        ax.burst = b;
-                        ax.closed_loop = pol;
-                        ax.trace = tr;
-                        ax.persist = pe;
-                        ax.shards = sh;
-                        out.push_back(ax);
-                    }
+                for (bool pe : persists) {
+                    axes ax = base;
+                    ax.burst = b;
+                    ax.closed_loop = pol;
+                    ax.trace = tr;
+                    ax.persist = pe;
+                    out.push_back(ax);
+                }
     return out;
 }
 
@@ -135,7 +121,6 @@ scenario_spec apply_axes(const scenario_spec& spec, const axes& ax)
     s.overload.trace = ax.trace;
     s.shapeshift.trace = ax.trace;
     if (spec_sweeps_persist(spec)) s.chaos.persist = ax.persist;
-    s.set_shards(ax.shards);
     return s;
 }
 
@@ -332,10 +317,6 @@ scenario_spec generate(std::uint64_t seed)
     s.set_seed(r.range(1, 1u << 20));
     static const std::uint32_t bursts[] = {1, 2, 4, 8, 16, 32};
     s.set_link_burst(r.pick(bursts));
-    if (topology_sweeps_shards(s.topology)) {
-        static const std::uint32_t shard_counts[] = {1, 2, 3, 4};
-        s.set_shards(r.pick(shard_counts));
-    }
     return s;
 }
 

@@ -35,9 +35,6 @@ struct axes {
     bool closed_loop{true};
     bool trace{true};
     bool persist{true};
-    /// Simulation shards (swept {1, 2} on the partitioned topologies —
-    /// chaos and soak — collapsed to the spec's value elsewhere).
-    std::uint32_t shards{1};
 
     std::string label() const;
 };

@@ -59,25 +59,17 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 {
     auto tb = std::make_unique<chaos_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
     auto& eng = net.sim();
 
     // --- topology ---
-    // Domains partition the drill for --shards=N: the send side and the
-    // control plane stay together (0), the receiver (1) and the fallback
-    // buffer (2) each get their own shard. With shards == 1 every domain
-    // folds onto the one engine and nothing changes.
     tb->src = &net.add_host("src");
     tb->tofino =
         &net.emplace<pnet::programmable_switch>("tofino", pnet::tofino2_profile());
-    net.set_domain(1);
     tb->rx_host = &net.add_host("rx");
-    net.set_domain(0);
     tb->buf1 = &net.add_host("buf1");
-    net.set_domain(2);
     tb->buf2 = &net.add_host("buf2");
-    net.set_domain(0);
     tb->tofino->set_id_source(&net.ids());
 
     netsim::link_config clean;
@@ -119,14 +111,6 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
         tb->tofino->egress(buf2_feed_port).set_trace_site(tr.site("buf2-feed"));
         tb->buf2->egress(buf2_uplink_port).set_trace_site(tr.site("buf2-uplink"));
         tb->tofino->state().trace_site = tr.site("tofino");
-        // Sharded runs: shard 0 emits into the main ring (inherited from
-        // the caller's installed recorder); every other shard gets its
-        // own, absorbed into the main ring after the run.
-        for (unsigned s = 1; s < net.shard_count(); ++s) {
-            tb->shard_tracers.push_back(
-                std::make_unique<trace::flight_recorder>(cfg.trace_capacity));
-            net.coordinator().set_recorder(s, tb->shard_tracers.back().get());
-        }
     }
 
     net.compute_routes();
@@ -176,11 +160,11 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 
     core::buffer_service_config b2;
     b2.tap_only = true;
-    tb->buf2_stack = std::make_unique<core::stack>(*tb->buf2, net.ids_for(2));
+    tb->buf2_stack = std::make_unique<core::stack>(*tb->buf2, net.ids());
     tb->buf2_svc = std::make_unique<core::buffer_service>(*tb->buf2_stack, b2);
     tb->buf2_svc->attach_as_sink();
 
-    tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids_for(1));
+    tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids());
     core::receiver_config r_cfg;
     r_cfg.timing.retry_base = cfg.nak_retry;
     r_cfg.timing.retry_cap = cfg.nak_retry_cap;
@@ -232,7 +216,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
         });
 
     // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, net.coordinator());
+    telemetry::register_engine_metrics(tb->metrics, eng);
     telemetry::register_link_metrics(tb->metrics, "wan-primary", *tb->wan_primary);
     telemetry::register_link_metrics(tb->metrics, "wan-backup", *tb->wan_backup);
     telemetry::register_link_metrics(tb->metrics, "buf1-feed", *tb->buf1_feed);
@@ -265,9 +249,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     // --- the fault script ---
     // Snapshot first (same instant, scheduled earlier => runs earlier):
     // datagrams delivered from here on were delivered despite the fault.
-    // The snapshot reads receiver state, so it runs on the receiver's
-    // engine (shard 0 — i.e. `eng` — when unsharded).
-    net.engine_for(1).schedule_at(cfg.fault_at, [tbp = tb.get()] {
+    eng.schedule_at(cfg.fault_at, [tbp = tb.get()] {
         tbp->datagrams_at_fault = tbp->rx->stats().datagrams;
     });
     tb->faults = std::make_unique<netsim::fault_scheduler>(eng);
@@ -313,10 +295,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     }
 
     // --- recovery measurement ---
-    // Both trackers probe receiver-owned state only, so they live on the
-    // receiver's engine (identical to `eng` when unsharded).
-    tb->recovery = std::make_unique<telemetry::recovery_tracker>(net.engine_for(1),
-                                                                 cfg.probe_interval);
+    tb->recovery = std::make_unique<telemetry::recovery_tracker>(eng, cfg.probe_interval);
     tb->recovery->arm(
         cfg.fault_at,
         [tbp = tb.get()] {
@@ -328,8 +307,8 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
         cfg.fault_at + cfg.probe_deadline);
 
     if (cfg.revive_at.ns > 0 && cfg.fault2_at.ns > 0) {
-        tb->recovery2 = std::make_unique<telemetry::recovery_tracker>(
-            net.engine_for(1), cfg.probe_interval);
+        tb->recovery2 =
+            std::make_unique<telemetry::recovery_tracker>(eng, cfg.probe_interval);
         const std::uint64_t total = cfg.messages + cfg.messages2;
         tb->recovery2->arm(
             cfg.fault2_at,
@@ -430,10 +409,6 @@ chaos_result summarize_chaos(chaos_testbed& tbr)
     // plane ("this message traversed the backup span after the fault").
     if (tb->tracer) {
         auto& tr = *tb->tracer;
-        // Sharded runs recorded each shard into its own ring; join them
-        // (in shard order — deterministic) before chasing the timeline.
-        for (auto& shard_tr : tb->shard_tracers) tr.absorb(*shard_tr);
-        tb->shard_tracers.clear();
         const auto buf2_site = tr.site("buf2");
         for (const auto& ev : tr.events()) {
             if (ev.kind == trace::hop::mmtp_retransmit && ev.site == buf2_site) {
@@ -464,7 +439,7 @@ chaos_result summarize_chaos(chaos_testbed& tbr)
 chaos_result run_chaos_drill(const chaos_config& cfg)
 {
     auto tb = make_chaos(cfg);
-    tb->net.coordinator().run();
+    tb->net.sim().run();
     return summarize_chaos(*tb);
 }
 

@@ -89,11 +89,6 @@ struct chaos_config {
     std::size_t trace_capacity{1u << 17};
     /// Packets per burst on every span (1 = classic per-packet path).
     std::uint32_t link_burst{1};
-    /// Simulation shards. 1 (default) is the classic single-engine run,
-    /// byte-identical with pre-shard telemetry. >1 partitions the drill
-    /// by network domain — {src, tofino, buf1, control} / {rx} / {buf2}
-    /// — with cut-link propagation bounding the conservative lookahead.
-    std::uint32_t shards{1};
     /// Write buf1 through a durable store. Required (and forced) when
     /// revive_at > 0 — a revive without an archive has nothing to reload.
     bool persist{true};
@@ -186,10 +181,6 @@ struct chaos_testbed {
     /// cfg.trace) and the run's metrics registry.
     std::unique_ptr<trace::flight_recorder> tracer;
     std::unique_ptr<trace::scoped_recorder> tracer_install;
-    /// Sharded runs only: one ring per shard > 0 (shard 0 emits into
-    /// `tracer`); summarize_chaos absorbs them into `tracer` so
-    /// cross-shard timelines join up.
-    std::vector<std::unique_ptr<trace::flight_recorder>> shard_tracers;
     telemetry::metrics_registry metrics;
 
     std::uint64_t messages_scheduled{0};

@@ -62,7 +62,7 @@ run_context pilot_driver::build()
 
 telemetry::table pilot_driver::report(telemetry::metrics_registry& reg)
 {
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
     telemetry::register_stack_metrics(reg, "sensor", *tb_->sensor_stack);
     telemetry::register_stack_metrics(reg, "dtn1", *tb_->dtn1_stack);
     telemetry::register_stack_metrics(reg, "dtn2", *tb_->dtn2_stack);
@@ -115,7 +115,7 @@ run_context today_driver::build()
 
 telemetry::table today_driver::report(telemetry::metrics_registry& reg)
 {
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
 
     telemetry::table t("status-quo pipeline");
     t.set_columns({"metric", "value"});
@@ -149,7 +149,7 @@ const chaos_result& chaos_driver::result()
 
 telemetry::table chaos_driver::report(telemetry::metrics_registry& reg)
 {
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
     telemetry::register_link_metrics(reg, "wan-primary", *tb_->wan_primary);
     telemetry::register_link_metrics(reg, "wan-backup", *tb_->wan_backup);
     telemetry::register_link_metrics(reg, "buf1-feed", *tb_->buf1_feed);
@@ -193,7 +193,7 @@ const overload_result& overload_driver::result()
 
 telemetry::table overload_driver::report(telemetry::metrics_registry& reg)
 {
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
     telemetry::register_link_metrics(reg, "wan", *tb_->wan);
     telemetry::register_priority_queue_metrics(reg, "wan", *tb_->wan_queue);
     telemetry::register_planner_metrics(reg, tb_->planner,
@@ -233,7 +233,7 @@ const soak_result& soak_driver::result()
 
 telemetry::table soak_driver::report(telemetry::metrics_registry& reg)
 {
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
     telemetry::register_link_metrics(reg, "wan-primary", *tb_->wan_primary);
     telemetry::register_link_metrics(reg, "wan-backup", *tb_->wan_backup);
     telemetry::register_link_metrics(reg, "dtn2-feed", *tb_->dtn2_feed);
@@ -282,7 +282,7 @@ const shapeshift_result& shapeshift_driver::result()
 
 telemetry::table shapeshift_driver::report(telemetry::metrics_registry& reg)
 {
-    telemetry::register_engine_metrics(reg, tb_->net.coordinator());
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
     telemetry::register_link_metrics(reg, "wan", *tb_->wan);
     telemetry::register_policy_engine_metrics(reg, *tb_->policy_ctl);
     telemetry::register_element_metrics(reg, "tofino", *tb_->tofino);

@@ -10,7 +10,7 @@
 //   build()      constructs the testbed and scripts its events; returns
 //                a run_context naming the simulation run() will drain.
 //                (Scenarios own their network — and therefore their
-//                engines — so build *produces* the context rather than
+//                engine — so build *produces* the context rather than
 //                receiving one.)
 //   run()        builds on first call, then drains the simulation
 //   report(reg)  registers the scenario's standard probes into `reg`
@@ -36,26 +36,21 @@
 
 namespace mmtp::scenario {
 
-/// What build() hands back: the simulation to drain. Always the
-/// scenario network's shard coordinator — a thin pass-through around the
-/// single engine in unsharded runs, the epoch-synchronized engine fleet
-/// under --shards=N. Value-semantic handle; the driver's testbed owns
+/// What build() hands back: the simulation to drain, the scenario
+/// network's engine. Value-semantic handle; the driver's testbed owns
 /// the network.
 class run_context {
 public:
     run_context() = default;
-    explicit run_context(netsim::network& net) : coord_(&net.coordinator()) {}
-    explicit run_context(netsim::shard_coordinator& c) : coord_(&c) {}
+    explicit run_context(netsim::network& net) : eng_(&net.sim()) {}
 
-    bool valid() const { return coord_ != nullptr; }
-    netsim::shard_coordinator& coordinator() { return *coord_; }
-    /// Shard 0's engine (the only one when unsharded).
-    netsim::engine& sim() { return coord_->shard(0); }
+    bool valid() const { return eng_ != nullptr; }
+    netsim::engine& sim() { return *eng_; }
     /// Drains the simulation; returns events executed.
-    std::uint64_t run() { return coord_->run(); }
+    std::uint64_t run() { return eng_->run(); }
 
 private:
-    netsim::shard_coordinator* coord_{nullptr};
+    netsim::engine* eng_{nullptr};
 };
 
 class driver {

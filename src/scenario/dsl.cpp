@@ -627,26 +627,6 @@ void scenario_spec::set_link_burst(std::uint32_t b)
     soak.link_burst = b;
 }
 
-std::uint32_t scenario_spec::shards() const
-{
-    if (topology == "today") return today.today.shards;
-    if (topology == "chaos") return chaos.shards;
-    if (topology == "overload") return overload.shards;
-    if (topology == "shapeshift") return shapeshift.shards;
-    if (topology == "soak") return soak.shards;
-    return pilot.pilot.shards;
-}
-
-void scenario_spec::set_shards(std::uint32_t n)
-{
-    pilot.pilot.shards = n;
-    today.today.shards = n;
-    chaos.shards = n;
-    overload.shards = n;
-    shapeshift.shards = n;
-    soak.shards = n;
-}
-
 // --- parsing -------------------------------------------------------------
 
 parse_outcome parse_scenario(const std::string& text)
@@ -661,7 +641,6 @@ parse_outcome parse_scenario(const std::string& text)
     std::set<std::string> seen_keys;
     std::optional<std::uint64_t> staged_seed;
     std::optional<std::uint32_t> staged_burst;
-    std::optional<std::uint32_t> staged_shards;
 
     auto fail = [&](unsigned ln, std::string msg) {
         out.spec.reset();
@@ -701,8 +680,7 @@ parse_outcome parse_scenario(const std::string& text)
             if (name == "scenario") {
                 have_scenario_section = true;
             } else if (name == "engine") {
-                // Simulation-runner knobs — topology-independent, like
-                // [scenario] itself.
+                // Topology-independent, like [scenario] itself.
             } else {
                 if (!have_topology)
                     return fail(line_no, "section [" + name
@@ -767,12 +745,10 @@ parse_outcome parse_scenario(const std::string& text)
 
         if (section == "engine") {
             if (key == "shards") {
+                // One engine: 1 is the only legal count.
                 std::uint64_t n = 0;
-                if (!parse_count(value, n) || n < 1 || n > max_shards)
-                    return fail(line_no, "shards must be in [1, "
-                                    + std::to_string(max_shards) + "], got '"
-                                    + value + "'");
-                staged_shards = static_cast<std::uint32_t>(n);
+                if (!parse_count(value, n) || n != 1)
+                    return fail(line_no, "shards must be 1, got '" + value + "'");
             } else {
                 return fail(line_no, "unknown key '" + key + "' in [engine]");
             }
@@ -793,7 +769,6 @@ parse_outcome parse_scenario(const std::string& text)
 
     if (staged_seed) spec.set_seed(*staged_seed);
     if (staged_burst) spec.set_link_burst(*staged_burst);
-    if (staged_shards) spec.set_shards(*staged_shards);
     out.spec = std::move(spec);
     return out;
 }
@@ -823,8 +798,6 @@ std::string render_scenario(const scenario_spec& spec)
     out += "seed = " + std::to_string(copy.seed()) + "\n";
     out += "lossy = " + std::string(copy.lossy ? "true" : "false") + "\n";
     out += "link_burst = " + std::to_string(copy.link_burst()) + "\n";
-    out += "\n[engine]\n";
-    out += "shards = " + std::to_string(copy.shards()) + "\n";
     for (const auto& sct : table.sections) {
         out += "\n[" + sct.name + "]\n";
         for (const auto& e : sct.entries) out += e.key + " = " + e.get() + "\n";

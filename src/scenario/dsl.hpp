@@ -62,13 +62,10 @@ struct scenario_spec {
     /// The burst knob of the active topology config.
     std::uint32_t link_burst() const;
     void set_link_burst(std::uint32_t b);
-    /// The shard count of the active topology config ([engine] shards).
-    std::uint32_t shards() const;
-    void set_shards(std::uint32_t n);
+    /// Always 1: the simulator runs one engine. `[engine] shards = 1`
+    /// still parses because the end-to-end benchmark's specs pin it.
+    std::uint32_t shards() const { return 1; }
 };
-
-/// Bounds for `[engine] shards` (parse fails closed outside them).
-constexpr std::uint32_t max_shards = 64;
 
 /// A line-anchored parse diagnostic. line is 1-based; 0 means the error
 /// is about the file as a whole (e.g. a missing [scenario] section).

@@ -14,7 +14,7 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
 {
     auto tb = std::make_unique<overload_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
     auto& eng = net.sim();
 
@@ -366,7 +366,7 @@ overload_result summarize_overload(overload_testbed& tbr)
 overload_result run_overload_drill(const overload_config& cfg)
 {
     auto tb = make_overload(cfg);
-    tb->net.coordinator().run();
+    tb->net.sim().run();
     return summarize_overload(*tb);
 }
 

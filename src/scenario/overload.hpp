@@ -125,9 +125,6 @@ struct overload_config {
     /// The WAN egress itself always runs per-packet regardless — its
     /// backpressure depth watcher must observe every transient depth.
     std::uint32_t link_burst{1};
-    /// Simulation shards (all nodes stay in domain 0 — the topology is
-    /// too tightly coupled to cut — so extra shards idle; 1 = classic).
-    std::uint32_t shards{1};
 };
 
 struct overload_testbed {

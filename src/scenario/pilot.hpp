@@ -52,9 +52,6 @@ struct pilot_config {
     /// clamped to netsim::max_burst). Telemetry is byte-identical at any
     /// setting — the campaign runner sweeps this axis.
     std::uint32_t link_burst{1};
-    /// Simulation shards (all nodes stay in domain 0 — the topology is
-    /// too tightly coupled to cut — so extra shards idle; 1 = classic).
-    std::uint32_t shards{1};
 };
 
 struct pilot_testbed {

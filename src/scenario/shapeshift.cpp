@@ -14,7 +14,7 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
 {
     auto tb = std::make_unique<shapeshift_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
     auto& eng = net.sim();
 
@@ -224,7 +224,7 @@ shapeshift_result summarize_shapeshift(shapeshift_testbed& tbr)
 shapeshift_result run_shapeshift_drill(const shapeshift_config& cfg)
 {
     auto tb = make_shapeshift(cfg);
-    tb->net.coordinator().run();
+    tb->net.sim().run();
     return summarize_shapeshift(*tb);
 }
 

@@ -76,12 +76,10 @@ void schedule_pressure_poll(soak_testbed* tb, sim_time at)
 
 /// Receiver stream retirement: completed streams idle past the horizon
 /// are dropped so per-stream state does not accumulate over a long run.
-/// Prune mutates receiver state, so the chain runs on the receiver's
-/// engine (the one engine when unsharded).
 void schedule_prune(soak_testbed* tb, sim_time at)
 {
     if (at.ns > tb->cfg.end_at.ns) return;
-    tb->net.engine_for(1).schedule_at(at, [tb, at] {
+    tb->net.sim().schedule_at(at, [tb, at] {
         tb->rx->prune_idle(tb->cfg.prune_idle_after);
         schedule_prune(tb, at + tb->cfg.prune_interval);
     });
@@ -119,27 +117,19 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
 {
     auto tb = std::make_unique<soak_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
     auto& eng = net.sim();
     const auto& profiles = daq::table1_profiles();
 
     // --- topology ---
-    // Domains partition the soak for --shards=N: the whole send side and
-    // the control plane stay together (0), the receiver (1) and the
-    // duplication-fed DTN2 tap (2) each get their own shard. With
-    // shards == 1 every domain folds onto the one engine.
     for (std::size_t i = 0; i < soak_experiments; ++i)
         tb->sensors[i] = &net.add_host(slugs[i]);
     tb->dtn1 = &net.add_host("dtn1");
-    net.set_domain(2);
     tb->dtn2 = &net.add_host("dtn2");
-    net.set_domain(0);
     tb->tofino =
         &net.emplace<pnet::programmable_switch>("tofino", pnet::tofino2_profile());
-    net.set_domain(1);
     tb->rx_host = &net.add_host("rx");
-    net.set_domain(0);
     tb->tofino->set_id_source(&net.ids());
 
     netsim::link_config clean;
@@ -286,7 +276,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
 
     // DTN2: duplication-fed tap with a durable store; killed and
     // revived mid-run by the storm.
-    tb->dtn2_stack = std::make_unique<core::stack>(*tb->dtn2, net.ids_for(2));
+    tb->dtn2_stack = std::make_unique<core::stack>(*tb->dtn2, net.ids());
     core::buffer_service_config b2;
     b2.tap_only = true;
     daq::archive_limits persist_limits;
@@ -300,7 +290,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     // retry base follows the compiled suggestion (identical for all
     // five engines: same path), floored at 4 ms so a retry can never
     // race its own in-flight retransmission into a duplicate.
-    tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids_for(1));
+    tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids());
     core::receiver_config r_cfg;
     r_cfg.timing.retry_base = sim_duration{std::max<std::int64_t>(
         tb->engines[0]->current().suggested_nak_retry.ns, 4000000)};
@@ -334,7 +324,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     }
 
     // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, net.coordinator());
+    telemetry::register_engine_metrics(tb->metrics, eng);
     telemetry::register_link_metrics(tb->metrics, "wan-primary", *tb->wan_primary);
     telemetry::register_link_metrics(tb->metrics, "wan-backup", *tb->wan_backup);
     telemetry::register_link_metrics(tb->metrics, "dtn2-feed", *tb->dtn2_feed);
@@ -394,24 +384,11 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     // and the revive reloads the archive and re-advertises.
     tb->faults->on_blackout(*tb->dtn2,
                             [tbp = tb.get()] { tbp->dtn2_svc->crash(); });
-    // The restore hook fires on DTN2's shard; the duplication stage
-    // lives on the Tofino's. Unsharded, one hook does both (the classic
-    // ordering); sharded, the re-subscription runs as its own shard-0
-    // event at the same instant so neither shard touches the other's
-    // state.
-    const bool split_restore = net.shard_count() > 1;
-    tb->faults->on_restore(*tb->dtn2, [tbp = tb.get(), split_restore] {
+    tb->faults->on_restore(*tb->dtn2, [tbp = tb.get()] {
         tbp->dtn2_svc->revive(tbp->rx_host->address());
-        if (split_restore) return;
         for (const auto& p : daq::table1_profiles())
             tbp->duplication->add_subscriber(p.experiment, tbp->dtn2->address());
     });
-    if (split_restore) {
-        eng.schedule_at(cfg.dtn2_up_at, [tbp = tb.get()] {
-            for (const auto& p : daq::table1_profiles())
-                tbp->duplication->add_subscriber(p.experiment, tbp->dtn2->address());
-        });
-    }
     tb->faults->blackout_node(*tb->dtn2, cfg.dtn2_down_at);
     tb->faults->fail_link_at(*tb->dtn2_feed, cfg.dtn2_down_at);
     eng.schedule_at(cfg.dtn2_down_at, [tbp = tb.get()] {
@@ -432,12 +409,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     // --- end-of-window flush + reroute recovery measurement ---
     eng.schedule_at(cfg.flush_at, [tbp = tb.get()] { tbp->dtn1_svc->flush(); });
 
-    // The probe reads planner state (shard 0) *and* receiver state
-    // (shard 1), so it runs on the coordinator's barrier-synchronous
-    // control plane — between epochs, when every shard is quiescent.
-    // Unsharded, control_plane() is the one engine: byte-identical.
-    tb->recovery = std::make_unique<telemetry::recovery_tracker>(
-        net.control_plane(), cfg.probe_interval);
+    tb->recovery = std::make_unique<telemetry::recovery_tracker>(eng, cfg.probe_interval);
     tb->recovery->arm(
         cfg.wan_down_at,
         [tbp = tb.get()] {
@@ -586,7 +558,7 @@ soak_result summarize_soak(soak_testbed& tbr)
 soak_result run_soak_drill(const soak_config& cfg)
 {
     auto tb = make_soak(cfg);
-    tb->net.coordinator().run();
+    tb->net.sim().run();
     return summarize_soak(*tb);
 }
 

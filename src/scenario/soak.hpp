@@ -183,11 +183,6 @@ struct soak_config {
 
     /// Packets per burst on every span (1 = classic per-packet path).
     std::uint32_t link_burst{1};
-    /// Simulation shards. 1 (default) is the classic single-engine run,
-    /// byte-identical with pre-shard telemetry. >1 partitions the soak
-    /// by network domain — {sensors, dtn1, tofino, control} / {rx} /
-    /// {dtn2} — with cut-link propagation bounding the lookahead.
-    std::uint32_t shards{1};
 
     /// Messages the traffic loop will schedule under the mask/overrides.
     std::uint64_t expected_messages() const

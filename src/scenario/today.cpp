@@ -70,7 +70,7 @@ std::unique_ptr<today_testbed> make_today(const today_config& cfg)
 {
     auto tb = std::make_unique<today_testbed>();
     tb->cfg = cfg;
-    tb->net = netsim::network(cfg.seed, cfg.shards);
+    tb->net = netsim::network(cfg.seed);
     auto& net = tb->net;
 
     tb->sensor = &net.add_host("sensor");

@@ -127,7 +127,7 @@ private:
     sim_duration rto() const;
 
     netsim::host& host_;
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     netsim::packet_id_source& ids_;
     tcp_config cfg_;
     std::uint16_t local_port_;

@@ -9,7 +9,6 @@
 #include "mmtp/stack.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/link.hpp"
-#include "netsim/shard.hpp"
 
 #include <algorithm>
 
@@ -117,36 +116,6 @@ void register_engine_metrics(metrics_registry& reg, const netsim::engine& eng)
     reg.add_probe("engine_events_total", {}, [e] { return e->profile().executed; });
     reg.add_probe("engine_timers_cancelled", {},
                   [e] { return e->profile().timers_cancelled; });
-}
-
-void register_engine_metrics(metrics_registry& reg, const netsim::shard_coordinator& coord)
-{
-    // Single shard: exactly the historical engine probes — snapshots stay
-    // byte-identical with pre-shard telemetry.
-    if (!coord.multi()) {
-        register_engine_metrics(reg, coord.shard(0));
-        return;
-    }
-    for (unsigned s = 0; s < coord.shard_count(); ++s) {
-        const netsim::engine* e = &coord.shard(s);
-        const std::string shard = std::to_string(s);
-        for (std::size_t i = 0; i < netsim::task_class_count; ++i) {
-            const auto tc = static_cast<netsim::task_class>(i);
-            reg.add_probe("engine_events",
-                          {{"class", netsim::task_class_name(tc)}, {"shard", shard}},
-                          [e, i] { return e->profile().executed_by_class[i]; });
-        }
-        reg.add_probe("engine_events_total", {{"shard", shard}},
-                      [e] { return e->profile().executed; });
-        reg.add_probe("engine_timers_cancelled", {{"shard", shard}},
-                      [e] { return e->profile().timers_cancelled; });
-    }
-    // Deterministic coordinator counters only — critical-path/serial wall
-    // seconds stay out of byte-compared snapshots (read via scaling()).
-    const netsim::shard_coordinator* c = &coord;
-    reg.add_probe("shard_epochs", {}, [c] { return c->scaling().epochs; });
-    reg.add_probe("shard_cross_messages", {},
-                  [c] { return c->scaling().cross_shard_messages; });
 }
 
 void register_link_metrics(metrics_registry& reg, const std::string& link_name,

@@ -22,7 +22,6 @@
 namespace mmtp::netsim {
 class engine;
 class link;
-class shard_coordinator;
 class priority_queue_disc;
 } // namespace mmtp::netsim
 namespace mmtp::control {
@@ -116,11 +115,6 @@ private:
 /// Dispatch wall time is deliberately NOT exported (nondeterministic);
 /// read it from engine::profile().wall_seconds directly.
 void register_engine_metrics(metrics_registry& reg, const netsim::engine& eng);
-
-/// Coordinator variant: identical to the engine form when the run is
-/// single-sharded (so existing telemetry stays byte-for-byte), and adds
-/// a {shard=i} label per engine plus coordinator totals when sharded.
-void register_engine_metrics(metrics_registry& reg, const netsim::shard_coordinator& coord);
 
 /// link_tx_packets/bytes, link_drops{reason=...}, link_queue_depth_bytes.
 void register_link_metrics(metrics_registry& reg, const std::string& link_name,

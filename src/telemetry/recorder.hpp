@@ -8,7 +8,7 @@
 
 #include "common/histogram.hpp"
 #include "common/units.hpp"
-#include "netsim/scheduler.hpp"
+#include "netsim/engine.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -22,7 +22,7 @@ namespace mmtp::telemetry {
 /// read the flow-completion time once everything landed.
 class transfer_tracker {
 public:
-    transfer_tracker(netsim::scheduler& eng, std::uint64_t expected_bytes)
+    transfer_tracker(netsim::engine& eng, std::uint64_t expected_bytes)
         : eng_(eng), expected_(expected_bytes), started_(eng.now())
     {
     }
@@ -60,7 +60,7 @@ public:
     }
 
 private:
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     std::uint64_t expected_;
     sim_time started_;
     std::uint64_t delivered_{0};
@@ -71,7 +71,7 @@ private:
 /// Source-timestamp → arrival-latency distribution (µs).
 class message_latency_tracker {
 public:
-    explicit message_latency_tracker(netsim::scheduler& eng) : eng_(eng) {}
+    explicit message_latency_tracker(netsim::engine& eng) : eng_(eng) {}
 
     void on_arrival(std::uint64_t source_timestamp_ns)
     {
@@ -92,7 +92,7 @@ public:
     std::uint64_t negative_latency() const { return negative_latency_; }
 
 private:
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     histogram latency_us_;
     std::uint64_t negative_latency_{0};
 };
@@ -106,7 +106,7 @@ class recovery_tracker {
 public:
     using health_fn = std::function<bool()>;
 
-    recovery_tracker(netsim::scheduler& eng, sim_duration probe_interval)
+    recovery_tracker(netsim::engine& eng, sim_duration probe_interval)
         : eng_(eng), interval_(probe_interval)
     {
     }
@@ -128,7 +128,7 @@ public:
 private:
     void probe();
 
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     sim_duration interval_;
     health_fn healthy_;
     sim_time fault_at_{sim_time::zero()};
@@ -143,7 +143,7 @@ class rate_sampler {
 public:
     using counter_fn = std::function<std::uint64_t()>;
 
-    rate_sampler(netsim::scheduler& eng, counter_fn counter, sim_duration interval)
+    rate_sampler(netsim::engine& eng, counter_fn counter, sim_duration interval)
         : eng_(eng), counter_(std::move(counter)), interval_(interval)
     {
     }
@@ -163,7 +163,7 @@ public:
 private:
     void tick(sim_time until);
 
-    netsim::scheduler& eng_;
+    netsim::engine& eng_;
     counter_fn counter_;
     sim_duration interval_;
     std::uint64_t last_value_{0};

@@ -68,6 +68,13 @@ TEST(dsl_parse, scenario_keys_apply_regardless_of_order)
     ASSERT_TRUE(out) << out.error.to_string();
     EXPECT_EQ(out.spec->seed(), 77u);
     EXPECT_EQ(out.spec->link_burst(), 4u);
+
+    // [engine] is topology-independent too; the end-to-end benchmark's
+    // specs pin its one legal shard count.
+    const auto pinned =
+        parse_scenario("[engine]\nshards = 1\n[scenario]\ntopology = overload\n");
+    ASSERT_TRUE(pinned) << pinned.error.to_string();
+    EXPECT_EQ(pinned.spec->shards(), 1u);
 }
 
 TEST(dsl_parse, comments_blank_lines_and_crlf_are_tolerated)
@@ -151,6 +158,9 @@ TEST(dsl_errors, out_of_range_values)
     expect_error(
         "[scenario]\ntopology = chaos\n[traffic]\nmessages = 99999999999999999999\n",
         4, "");
+    // The simulator runs one engine: 1 is the only legal shard count.
+    expect_error("[scenario]\ntopology = chaos\n[engine]\nshards = 2\n", 4, "shards");
+    expect_error("[scenario]\ntopology = chaos\n[engine]\nshards = 0\n", 4, "shards");
 }
 
 TEST(dsl_errors, duplicate_section_names_its_line)
