@@ -10,15 +10,12 @@
 //      through a 3-hop chain (src → r1 → r2 → sink) of store-and-forward
 //      relays — measures the per-packet event path and counts heap
 //      allocations per packet in steady state via a global operator new
-//      hook. Runs at burst=1 (classic one-event-per-packet path) and at
-//      the configured burst size (default 32: one pump event per sending
-//      instant, one arrival event per burst), each bare and with a flight
-//      recorder installed, to price the tracing hooks on the hot path
-//      (still zero allocations).
+//      hook. Runs bare and with a flight recorder installed, to price
+//      the tracing hooks on the hot path (still zero allocations).
 //
-// Flags: --burst=N sets the headline burst size; --check exits nonzero
-// when any forward variant allocates on the steady-state path (the CI
-// perf-smoke invariant — allocation-freedom, not wall-clock).
+// Flags: --check exits nonzero when either forward variant allocates on
+// the steady-state path (the CI perf-smoke invariant — allocation-
+// freedom, not wall-clock).
 //
 // Emits machine-readable JSON to BENCH_engine.json (and stdout) so the
 // perf trajectory is tracked across PRs. The `baseline` block holds the
@@ -150,17 +147,10 @@ churn_result run_cancel_churn()
 // ----------------------------------------------------------------- forward
 
 /// Store-and-forward relay: everything received leaves via port 0.
-/// Burst-aware: a burst forwards packet-by-packet at each packet's exact
-/// arrival stamp, so timing matches the per-packet path.
 class relay final : public node {
 public:
     using node::node;
     void receive(packet&& p, unsigned) override { egress(0).send(std::move(p)); }
-    void receive_burst(packet* pkts, unsigned n, unsigned) override
-    {
-        auto& out = egress(0);
-        for (unsigned i = 0; i < n; ++i) out.send_at(pkts[i].stamp, std::move(pkts[i]));
-    }
 };
 
 /// Terminal sink: counts and discards.
@@ -171,11 +161,6 @@ public:
     {
         received++;
         received_bytes += p.wire_size();
-    }
-    void receive_burst(packet* pkts, unsigned n, unsigned) override
-    {
-        received += n;
-        for (unsigned i = 0; i < n; ++i) received_bytes += pkts[i].wire_size();
     }
     std::uint64_t received{0};
     std::uint64_t received_bytes{0};
@@ -195,35 +180,21 @@ struct injector {
     node* src;
     std::uint64_t left;
     sim_duration period;
-    unsigned burst;
     std::vector<std::uint8_t> header_template;
 
-    /// Packet k always enters the link at (k+1)·period regardless of
-    /// burst size: one fire hands over `burst` stamped packets and
-    /// reschedules after burst·period.
+    /// Packet k enters the link at (k+1)·period.
     void fire()
     {
-        const sim_time now = net->sim().now();
-        auto& out = src->egress(0);
-        unsigned b = 0;
-        for (; b < burst && left > 0; ++b, --left) {
-            packet p;
-            p.id = net->ids().next();
-            p.headers = header_template; // 64 real header bytes, SBO-sized
-            p.virtual_payload = 800;
-            const sim_time at = now + sim_duration{static_cast<std::int64_t>(b) * period.ns};
-            if (burst > 1)
-                out.send_at(at, std::move(p));
-            else
-                out.send(std::move(p));
-        }
-        if (left > 0)
-            net->sim().schedule_in(sim_duration{static_cast<std::int64_t>(b) * period.ns},
-                                   [this] { fire(); });
+        packet p;
+        p.id = net->ids().next();
+        p.headers = header_template; // 64 real header bytes, SBO-sized
+        p.virtual_payload = 800;
+        src->egress(0).send(std::move(p));
+        if (--left > 0) net->sim().schedule_in(period, [this] { fire(); });
     }
 };
 
-forward_result run_forward(bool traced, unsigned burst)
+forward_result run_forward(bool traced)
 {
     constexpr std::uint64_t warm_packets = 50000;
     constexpr std::uint64_t measured_packets = 1000000;
@@ -238,7 +209,6 @@ forward_result run_forward(bool traced, unsigned burst)
     link_config cfg;
     cfg.rate = data_rate::from_gbps(100); // 864 B ≈ 69 ns — keeps queues shallow
     cfg.propagation = 500_ns;
-    cfg.burst = burst;
     net.connect_simplex(src, r1, cfg);
     net.connect_simplex(r1, r2, cfg);
     net.connect_simplex(r2, sink, cfg);
@@ -259,7 +229,6 @@ forward_result run_forward(bool traced, unsigned burst)
     inj.src = &src;
     inj.left = warm_packets + measured_packets;
     inj.period = sim_duration{inject_period_ns};
-    inj.burst = burst;
     inj.header_template.resize(64);
     for (std::size_t i = 0; i < inj.header_template.size(); ++i)
         inj.header_template[i] = static_cast<std::uint8_t>(i * 7 + 1);
@@ -297,28 +266,16 @@ constexpr double baseline_allocs_per_packet = 10.6;          // headers + std::f
 
 int main(int argc, char** argv)
 {
-    unsigned burst = 32;
     bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--burst=", 8) == 0) {
-            const long v = std::strtol(argv[i] + 8, nullptr, 10);
-            if (v >= 1 && v <= static_cast<long>(mmtp::netsim::max_burst))
-                burst = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-        }
-    }
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--check") == 0) check = true;
 
     const auto churn = run_churn();
     const auto cancels = run_cancel_churn();
-    const auto fwd1 = run_forward(false, 1);
-    const auto fwd1_traced = run_forward(true, 1);
-    const auto fwd = run_forward(false, burst);
-    const auto fwd_traced = run_forward(true, burst);
+    const auto fwd = run_forward(false);
+    const auto fwd_traced = run_forward(true);
     const double trace_overhead_pct =
         100.0 * (1.0 - fwd_traced.events_per_sec / fwd.events_per_sec);
-    const double burst1_trace_overhead_pct =
-        100.0 * (1.0 - fwd1_traced.events_per_sec / fwd1.events_per_sec);
 
     char buf[8192];
     std::snprintf(
@@ -337,7 +294,6 @@ int main(int argc, char** argv)
         "    \"churn_events_per_sec\": %.0f,\n"
         "    \"timer_cancellations\": %llu,\n"
         "    \"timer_cancels_per_sec\": %.0f,\n"
-        "    \"burst\": %u,\n"
         "    \"forward_packets\": %llu,\n"
         "    \"forward_events\": %llu,\n"
         "    \"forward_events_per_sec\": %.0f,\n"
@@ -345,22 +301,17 @@ int main(int argc, char** argv)
         "    \"forward_allocs_per_packet\": %.4f,\n"
         "    \"traced_forward_events_per_sec\": %.0f,\n"
         "    \"traced_forward_allocs_per_packet\": %.4f,\n"
-        "    \"trace_overhead_pct\": %.1f,\n"
-        "    \"burst1_forward_events_per_sec\": %.0f,\n"
-        "    \"burst1_forward_packets_per_sec\": %.0f,\n"
-        "    \"burst1_forward_allocs_per_packet\": %.4f,\n"
-        "    \"burst1_trace_overhead_pct\": %.1f\n"
+        "    \"trace_overhead_pct\": %.1f\n"
         "  }\n"
         "}\n",
         baseline_churn_events_per_sec, baseline_forward_events_per_sec,
         baseline_forward_packets_per_sec, baseline_allocs_per_packet,
         static_cast<unsigned long long>(churn.events), churn.events_per_sec,
         static_cast<unsigned long long>(cancels.events), cancels.events_per_sec,
-        burst, static_cast<unsigned long long>(fwd.packets),
+        static_cast<unsigned long long>(fwd.packets),
         static_cast<unsigned long long>(fwd.events), fwd.events_per_sec,
         fwd.packets_per_sec, fwd.allocs_per_packet, fwd_traced.events_per_sec,
-        fwd_traced.allocs_per_packet, trace_overhead_pct, fwd1.events_per_sec,
-        fwd1.packets_per_sec, fwd1.allocs_per_packet, burst1_trace_overhead_pct);
+        fwd_traced.allocs_per_packet, trace_overhead_pct);
 
     std::fputs(buf, stdout);
     if (std::FILE* f = std::fopen("BENCH_engine.json", "w")) {
@@ -369,19 +320,14 @@ int main(int argc, char** argv)
     }
 
     if (check) {
-        const bool leak = fwd.allocs_per_packet > 0.0 || fwd_traced.allocs_per_packet > 0.0 ||
-                          fwd1.allocs_per_packet > 0.0 || fwd1_traced.allocs_per_packet > 0.0;
-        if (leak) {
+        if (fwd.allocs_per_packet > 0.0 || fwd_traced.allocs_per_packet > 0.0) {
             std::fprintf(stderr,
-                         "CHECK FAILED: steady-state allocs: burst=%u bare=%llu "
-                         "traced=%llu; burst=1 bare=%llu traced=%llu\n",
-                         burst, static_cast<unsigned long long>(fwd.raw_allocs),
-                         static_cast<unsigned long long>(fwd_traced.raw_allocs),
-                         static_cast<unsigned long long>(fwd1.raw_allocs),
-                         static_cast<unsigned long long>(fwd1_traced.raw_allocs));
+                         "CHECK FAILED: steady-state allocs: bare=%llu traced=%llu\n",
+                         static_cast<unsigned long long>(fwd.raw_allocs),
+                         static_cast<unsigned long long>(fwd_traced.raw_allocs));
             return 1;
         }
-        std::fputs("check passed: forward_allocs_per_packet == 0 in all variants\n",
+        std::fputs("check passed: forward_allocs_per_packet == 0, bare and traced\n",
                    stdout);
     }
     return 0;

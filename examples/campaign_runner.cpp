@@ -7,12 +7,13 @@
 //   $ ./campaign_runner --print file.scenario     (parse + re-render)
 //   $ ./campaign_runner --list                    (topology names)
 //
-// Every scenario is re-run across burst {1,32} × policy {closed_loop,
-// static} × trace {on,off} × persist {on,off} (axes the topology does
-// not support are collapsed), and each cell must end whole (unless the
-// file declares lossy), deliver zero duplicates, reconcile per-link
-// stats, and reproduce byte-identical telemetry on a same-seed rerun.
-// Exit status is the number of failed scenarios (0 = campaign green).
+// Every scenario is re-run across policy {closed_loop, static} × trace
+// {on,off} × persist {on,off} (axes the topology does not support are
+// collapsed), and each cell must end whole (unless the file declares
+// lossy), deliver zero duplicates, reconcile per-link stats, and
+// reproduce byte-identical telemetry on a same-seed rerun. The last line
+// counts the failed scenarios; the exit status is 0 when none failed,
+// 1 when any did and 2 on a usage error.
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
 

@@ -205,18 +205,6 @@ inline void emit(sim_time at, std::uint32_t site_id, hop kind, std::uint64_t pac
 #endif
 }
 
-/// Burst-path amortization: hoist the recorder pointer once per burst
-/// and emit through it unchecked (`if (rec) rec->emit(...)`). Constant
-/// nullptr when tracing is compiled out, so guarded emits fold away.
-inline flight_recorder* burst_recorder() noexcept
-{
-#if MMTP_TRACING
-    return detail::g_recorder;
-#else
-    return nullptr;
-#endif
-}
-
 class scoped_recorder {
 public:
     explicit scoped_recorder(flight_recorder& r) { install(&r); }

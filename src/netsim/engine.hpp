@@ -32,7 +32,7 @@ namespace mmtp::netsim {
 enum class task_class : std::uint8_t {
     generic = 0,
     timer,        // telemetry probes, samplers, scripted scenario steps
-    link_tx,      // link serializer kicks and burst pumps
+    link_tx,      // link serializer kicks
     link_arrival, // packet arrival at the far end of a link
     pipeline,     // programmable-element pipeline egress
     protocol,     // MMTP/TCP/UDP endpoint timers and pumps

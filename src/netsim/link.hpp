@@ -8,7 +8,7 @@
 // integrity check fails, which is how loss appears on capacity-planned
 // WAN paths, §4). A separate `drop_probability` models outright loss.
 //
-// On the classic path (burst == 1) a link holds at most two engine keys:
+// A link handles one packet at a time and holds at most two engine keys:
 // the head of its in-flight FIFO, and a serializer kick that exists only
 // while a packet waits behind the serializer. Both are reserved keys
 // (engine::reserve_seq), so every dispatch keeps the (time, seq) a
@@ -18,24 +18,17 @@
 
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
 #include "common/units.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/queue.hpp"
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace mmtp::netsim {
 
 class node;
-
-/// Upper bound on packets per burst event (arrival buffers are
-/// preallocated at this size; link_config::burst is clamped to it).
-constexpr unsigned max_burst = 64;
 
 struct link_config {
     data_rate rate{data_rate::from_gbps(10)};
@@ -47,12 +40,6 @@ struct link_config {
     double drop_probability{0.0};
     std::uint64_t queue_capacity_bytes{4 * 1024 * 1024};
     std::uint32_t mtu{9000}; // jumbo frames are the norm in DAQ (§2.1)
-    /// Packets per burst on the batched hot path. 1 (default) keeps the
-    /// classic one-event-per-packet serializer; >1 coalesces same-instant
-    /// sends into one pump pass and delivers arrivals in per-burst events
-    /// whose packets carry exact per-packet time stamps, so same-seed
-    /// metrics stay byte-identical on FIFO links without depth watchers.
-    std::uint32_t burst{1};
 };
 
 struct link_stats {
@@ -87,20 +74,6 @@ public:
     /// Queues the packet for transmission; drops it (recording stats)
     /// if the queue is full or the packet exceeds the MTU.
     void send(packet&& p);
-
-    /// Burst-path send: the packet logically enters the link at virtual
-    /// time `t` (clamped to >= now(); stamped on the packet), letting a
-    /// burst-aware sender hand over a whole burst from one event. All
-    /// send_at calls from the current instant coalesce into one pump
-    /// pass; the pump replays the classic serializer decisions in exact
-    /// virtual-time order. Falls back to the per-packet path when burst
-    /// mode is off for this link.
-    void send_at(sim_time t, packet&& p);
-
-    /// True when this link batches (config().burst > 1). Depth watchers
-    /// force the classic path: backpressure hooks must observe every
-    /// transient queue depth, which batching elides.
-    bool burst_enabled() const { return cfg_.burst > 1 && !depth_watcher_; }
 
     const link_config& config() const { return cfg_; }
     const link_stats& stats() const { return stats_; }
@@ -152,21 +125,6 @@ private:
     void transmit(packet&& p);
     void arrive();
 
-    // --- burst machinery (active only when burst_enabled()) ---
-    void pump();
-    void drain_queue_until(sim_time t, trace::flight_recorder* rec);
-    void commit(packet&& p, sim_time pickup, trace::flight_recorder* rec);
-    void flush_arrivals();
-
-    /// Preallocated buffer for one burst-arrival event; recycled through
-    /// free_bursts_ so steady-state delivery never allocates.
-    struct arrival_burst {
-        std::array<packet, max_burst> pkts;
-        unsigned n{0};
-    };
-    arrival_burst* acquire_burst();
-    void release_burst(arrival_burst* ab);
-
     engine& eng_;
     rng noise_;
     node& to_;
@@ -179,10 +137,10 @@ private:
     std::function<void(std::uint64_t)> depth_watcher_;
     std::function<void(bool)> state_watcher_;
 
-    // Classic-path state. The horizon's initial key (0, 0) counts as
-    // reached, so a fresh link is idle; kick_armed_ is set while the
-    // kick is scheduled under the horizon key. in_flight_ holds arrivals
-    // in key order, (pkt.stamp, seq); only its head has an engine key.
+    // The horizon's initial key (0, 0) counts as reached, so a fresh
+    // link is idle; kick_armed_ is set while the kick is scheduled under
+    // the horizon key. in_flight_ holds arrivals in key order,
+    // (pkt.stamp, seq); only its head has an engine key.
     struct in_flight {
         std::uint64_t seq;
         packet pkt;
@@ -191,16 +149,6 @@ private:
     std::uint64_t free_seq_{0};
     bool kick_armed_{false};
     ring_buffer<in_flight> in_flight_;
-
-    // Burst state. sched_free_at_ is the virtual serializer horizon —
-    // the time the line frees after every committed packet; pending_
-    // holds this instant's sends until the pump classifies them.
-    ring_buffer<packet> pending_;
-    sim_time sched_free_at_{sim_time::zero()};
-    bool pump_scheduled_{false};
-    arrival_burst* arr_open_{nullptr};
-    std::vector<std::unique_ptr<arrival_burst>> burst_pool_;
-    std::vector<arrival_burst*> free_bursts_;
 };
 
 } // namespace mmtp::netsim

@@ -37,16 +37,6 @@ public:
     /// Delivers a packet arriving from a neighbour on `ingress_port`.
     virtual void receive(packet&& p, unsigned ingress_port) = 0;
 
-    /// Burst variant of receive(): `pkts[0..n)` arrived on this port,
-    /// each stamped with its exact arrival time (the delivering event
-    /// fires at pkts[0].stamp). The default unrolls to per-packet
-    /// receive(); burst-aware nodes (programmable_switch, bench relays)
-    /// override to process the whole burst through each step at once.
-    virtual void receive_burst(packet* pkts, unsigned n, unsigned ingress_port)
-    {
-        for (unsigned i = 0; i < n; ++i) receive(std::move(pkts[i]), ingress_port);
-    }
-
     /// Link-arrival entry point: applies power gating, then receive().
     /// Links call this instead of receive() so blackouts need no
     /// cooperation from node subclasses.
@@ -57,16 +47,6 @@ public:
             return;
         }
         receive(std::move(p), ingress_port);
-    }
-
-    /// Burst-arrival entry point (see deliver()).
-    void deliver_burst(packet* pkts, unsigned n, unsigned ingress_port)
-    {
-        if (!powered_) {
-            blackout_dropped_ += n;
-            return;
-        }
-        receive_burst(pkts, n, ingress_port);
     }
 
     /// Power state (netsim::fault_scheduler blackouts). A blacked-out

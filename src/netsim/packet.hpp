@@ -34,11 +34,9 @@ struct packet {
     std::uint64_t virtual_payload{0};
 
     // --- metadata (not on the wire) ---
-    /// Exact per-packet virtual time on the burst path: the send time
-    /// while the packet waits in a link's pending ring, the arrival time
-    /// once committed. Burst-aware receivers read this instead of
-    /// engine::now() (a burst event fires at its first packet's arrival),
-    /// which is what keeps burst>1 metrics byte-identical to burst=1.
+    /// Arrival time at the far end of the link carrying the packet, set
+    /// at transmit. The link's in-flight FIFO keys arrivals by
+    /// (stamp, reserved seq).
     sim_time stamp{sim_time::zero()};
     /// Set by a link when the corruption model fired; receivers treat the
     /// packet as failing its integrity check and drop it.

@@ -104,13 +104,6 @@ void reset_context(packet_context& ctx)
 
 } // namespace
 
-packet_context* programmable_switch::contexts()
-{
-    if (!ctx_scratch_)
-        ctx_scratch_ = std::make_unique<packet_context[]>(netsim::max_burst);
-    return ctx_scratch_.get();
-}
-
 void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
 {
     if (p.corrupted) {
@@ -127,7 +120,7 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
         return;
     }
 
-    packet_context& ctx = contexts()[0];
+    packet_context& ctx = ctx_;
     reset_context(ctx);
     ctx.pkt = std::move(p);
     ctx.ingress_port = ingress_port;
@@ -150,7 +143,7 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
         stats_.emissions++;
         if (ids_) e.pkt.id = ids_->next();
         netsim::packet out = std::move(e.pkt);
-        forward(std::move(out), e.dst, false);
+        forward(std::move(out), e.dst);
     }
 
     if (ctx.drop) {
@@ -177,7 +170,7 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
             // Binding record: ties the clone's fresh id to its parent's.
             trace::emit(eng_.now(), state_.trace_site, trace::hop::sw_clone, cc.pkt.id,
                         ctx.pkt.id);
-            forward(std::move(cc.pkt), dst, false);
+            forward(std::move(cc.pkt), dst);
         }
     }
 
@@ -209,120 +202,10 @@ void programmable_switch::receive(netsim::packet&& p, unsigned ingress_port)
         return;
     }
     const auto dst = ctx.dst_override.value_or(ctx.ip->dst);
-    forward(std::move(ctx.pkt), dst, false);
+    forward(std::move(ctx.pkt), dst);
 }
 
-void programmable_switch::receive_burst(netsim::packet* pkts, unsigned n, unsigned ingress_port)
-{
-    packet_context* ctxs = contexts();
-
-    // Admission + parse, per packet at its own arrival stamp.
-    unsigned m = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        netsim::packet p = std::move(pkts[i]);
-        if (p.corrupted) {
-            stats_.dropped_corrupted++;
-            trace::emit(p.stamp, state_.trace_site, trace::hop::sw_drop, p.id, 0,
-                        trace::reason::corrupted);
-            continue;
-        }
-        if (p.hops > 64) { // loop backstop
-            stats_.dropped_malformed++;
-            trace::emit(p.stamp, state_.trace_site, trace::hop::sw_drop, p.id, 0,
-                        trace::reason::malformed);
-            continue;
-        }
-        packet_context& ctx = ctxs[m];
-        reset_context(ctx);
-        ctx.pkt = std::move(p);
-        ctx.ingress_port = ingress_port;
-        ctx.now = ctx.pkt.stamp;
-        if (!parse_context(ctx)) {
-            stats_.dropped_malformed++;
-            trace::emit(ctx.now, state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                        trace::reason::malformed);
-            continue;
-        }
-        m++;
-    }
-
-    // Stage-major: the whole burst crosses each stage before the next.
-    for (const auto& stage : stages_)
-        stage->process_burst(ctxs, m, state_);
-
-    for (unsigned i = 0; i < m; ++i)
-        finalize_burst(ctxs[i]);
-}
-
-void programmable_switch::finalize_burst(packet_context& ctx)
-{
-    const sim_time now = ctx.now;
-
-    for (auto& e : ctx.emissions) {
-        stats_.emissions++;
-        if (ids_) e.pkt.id = ids_->next();
-        forward_at(now, std::move(e.pkt), e.dst);
-    }
-
-    if (ctx.drop) {
-        stats_.dropped_by_pipeline++;
-        trace::emit(now, state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                    trace::reason::pipeline);
-        return;
-    }
-
-    deparse_context(ctx);
-
-    for (const auto dst : ctx.clones) {
-        netsim::packet copy = ctx.pkt; // deep copy of headers/payload
-        if (ids_) copy.id = ids_->next();
-        packet_context cc;
-        cc.pkt = std::move(copy);
-        if (parse_context(cc) && cc.ip) {
-            cc.headers_dirty = true;
-            cc.dst_override = dst;
-            deparse_context(cc);
-            stats_.clones++;
-            trace::emit(now, state_.trace_site, trace::hop::sw_clone, cc.pkt.id, ctx.pkt.id);
-            forward_at(now, std::move(cc.pkt), dst);
-        }
-    }
-
-    if (ctx.mmtp_over_l2) {
-        if (l2_uplink_ == netsim::no_port || l2_uplink_ >= port_count()) {
-            stats_.dropped_unroutable++;
-            trace::emit(now, state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                        trace::reason::unroutable);
-            return;
-        }
-        stats_.forwarded++;
-        egress(l2_uplink_).send_at(now + profile_.pipeline_latency, std::move(ctx.pkt));
-        return;
-    }
-    if (!ctx.ip) {
-        stats_.dropped_unroutable++;
-        trace::emit(now, state_.trace_site, trace::hop::sw_drop, ctx.pkt.id, 0,
-                    trace::reason::unroutable);
-        return;
-    }
-    const auto dst = ctx.dst_override.value_or(ctx.ip->dst);
-    forward_at(now, std::move(ctx.pkt), dst);
-}
-
-void programmable_switch::forward_at(sim_time now, netsim::packet&& p, wire::ipv4_addr dst)
-{
-    const unsigned port = route(dst);
-    if (port == netsim::no_port || port >= port_count()) {
-        stats_.dropped_unroutable++;
-        trace::emit(now, state_.trace_site, trace::hop::sw_drop, p.id, 0,
-                    trace::reason::unroutable);
-        return;
-    }
-    stats_.forwarded++;
-    egress(port).send_at(now + profile_.pipeline_latency, std::move(p));
-}
-
-void programmable_switch::forward(netsim::packet&& p, wire::ipv4_addr dst, bool /*over_l2*/)
+void programmable_switch::forward(netsim::packet&& p, wire::ipv4_addr dst)
 {
     const unsigned port = route(dst);
     if (port == netsim::no_port || port >= port_count()) {

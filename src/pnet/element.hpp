@@ -83,17 +83,6 @@ public:
 
     virtual void process(packet_context& ctx, element_state& state) = 0;
 
-    /// Burst variant: one virtual call processes ctxs[0..n) in order.
-    /// Already-dropped packets are skipped, which preserves the
-    /// per-packet loop's first-drop-wins semantics (it breaks on drop, so
-    /// later stages never see a dropped packet). Concrete stages override
-    /// with a devirtualized loop; semantics must stay identical.
-    virtual void process_burst(packet_context* ctxs, unsigned n, element_state& state)
-    {
-        for (unsigned i = 0; i < n; ++i)
-            if (!ctxs[i].drop) process(ctxs[i], state);
-    }
-
     virtual std::string name() const = 0;
 
 protected:
@@ -140,14 +129,6 @@ public:
 
     void receive(netsim::packet&& p, unsigned ingress_port) override;
 
-    /// Burst entry point: runs the whole burst through each stage before
-    /// advancing (stage-major), so per-stage virtual dispatch is paid
-    /// once per burst. Each packet is processed at its own arrival stamp
-    /// (ctx.now = pkt.stamp) and forwarded via link::send_at at its exact
-    /// classic-path egress time, so per-packet timelines and statistics
-    /// match the per-packet path byte for byte.
-    void receive_burst(netsim::packet* pkts, unsigned n, unsigned ingress_port) override;
-
     /// Appends a stage; runs after all previously added stages.
     void add_stage(std::shared_ptr<pipeline_stage> stage);
 
@@ -164,16 +145,7 @@ public:
     void set_id_source(netsim::packet_id_source* ids) { ids_ = ids; }
 
 private:
-    void forward(netsim::packet&& p, wire::ipv4_addr dst, bool over_l2);
-    /// Burst-path forwarding: egress at virtual time `now` + pipeline
-    /// latency via link::send_at (classic-equivalent event when the
-    /// egress link is not in burst mode).
-    void forward_at(sim_time now, netsim::packet&& p, wire::ipv4_addr dst);
-    /// Emissions / drop verdict / deparse / clones / primary forward for
-    /// one burst packet — the tail of receive(), at ctx.now.
-    void finalize_burst(packet_context& ctx);
-    /// The scratch contexts, created on first use.
-    packet_context* contexts();
+    void forward(netsim::packet&& p, wire::ipv4_addr dst);
 
     element_profile profile_;
     element_state state_;
@@ -181,10 +153,9 @@ private:
     switch_stats stats_;
     unsigned l2_uplink_{netsim::no_port};
     netsim::packet_id_source* ids_{nullptr};
-    /// Scratch contexts for receive (one) and receive_burst (up to
-    /// max_burst), reused so that clones and emissions vectors keep their
-    /// capacity and packets never allocate.
-    std::unique_ptr<packet_context[]> ctx_scratch_;
+    /// Scratch context for receive, reused so that its clones and
+    /// emissions vectors keep their capacity and packets never allocate.
+    packet_context ctx_;
 };
 
 } // namespace mmtp::pnet

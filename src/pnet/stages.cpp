@@ -409,32 +409,4 @@ std::int64_t timeliness_slack_of(const netsim::packet& p)
            - static_cast<std::int64_t>(h->timeliness->age_us);
 }
 
-// Burst overrides: same loop the pipeline_stage default runs, but the
-// process() calls are qualified — resolved statically inside these final
-// classes — so the per-packet virtual dispatch collapses to one indirect
-// call per stage per burst and the stage bodies can inline.
-void mode_transition_stage::process_burst(packet_context* ctxs, unsigned n, element_state& state)
-{
-    for (unsigned i = 0; i < n; ++i)
-        if (!ctxs[i].drop) mode_transition_stage::process(ctxs[i], state);
-}
-
-void age_update_stage::process_burst(packet_context* ctxs, unsigned n, element_state& state)
-{
-    for (unsigned i = 0; i < n; ++i)
-        if (!ctxs[i].drop) age_update_stage::process(ctxs[i], state);
-}
-
-void backpressure_stage::process_burst(packet_context* ctxs, unsigned n, element_state& state)
-{
-    for (unsigned i = 0; i < n; ++i)
-        if (!ctxs[i].drop) backpressure_stage::process(ctxs[i], state);
-}
-
-void duplication_stage::process_burst(packet_context* ctxs, unsigned n, element_state& state)
-{
-    for (unsigned i = 0; i < n; ++i)
-        if (!ctxs[i].drop) duplication_stage::process(ctxs[i], state);
-}
-
 } // namespace mmtp::pnet

@@ -106,7 +106,6 @@ public:
     bool has_epoch(std::uint8_t epoch) const;
 
     void process(packet_context& ctx, element_state& state) override;
-    void process_burst(packet_context* ctxs, unsigned n, element_state& state) override;
     std::string name() const override { return "mode_transition"; }
 
 private:
@@ -137,7 +136,6 @@ public:
     explicit age_update_stage(age_config cfg = {}) : cfg_(cfg) {}
 
     void process(packet_context& ctx, element_state& state) override;
-    void process_burst(packet_context* ctxs, unsigned n, element_state& state) override;
     std::string name() const override { return "age_update"; }
 
 private:
@@ -179,7 +177,6 @@ public:
     backpressure_stage(programmable_switch& sw, backpressure_config cfg = {});
 
     void process(packet_context& ctx, element_state& state) override;
-    void process_burst(packet_context* ctxs, unsigned n, element_state& state) override;
     std::string name() const override { return "backpressure"; }
 
 private:
@@ -219,7 +216,6 @@ public:
     bool remove_subscriber(std::uint32_t experiment, wire::ipv4_addr subscriber);
 
     void process(packet_context& ctx, element_state& state) override;
-    void process_burst(packet_context* ctxs, unsigned n, element_state& state) override;
     std::string name() const override { return "duplication"; }
 
     std::size_t subscriber_count(std::uint32_t experiment) const;

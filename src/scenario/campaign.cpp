@@ -1,7 +1,5 @@
 #include "scenario/campaign.hpp"
 
-#include "netsim/link.hpp"
-
 #include <algorithm>
 
 namespace mmtp::scenario::campaign {
@@ -58,7 +56,6 @@ bool spec_sweeps_persist(const scenario_spec& s)
 axes axes_of(const scenario_spec& s)
 {
     axes ax;
-    ax.burst = s.link_burst();
     if (s.topology == "shapeshift")
         ax.closed_loop = s.shapeshift.policy == control::mode_preset::closed_loop;
     else if (s.topology == "soak")
@@ -74,8 +71,7 @@ axes axes_of(const scenario_spec& s)
 
 std::string axes::label() const
 {
-    return "burst=" + std::to_string(burst)
-        + " policy=" + (closed_loop ? "closed_loop" : "static")
+    return std::string("policy=") + (closed_loop ? "closed_loop" : "static")
         + " trace=" + (trace ? "on" : "off")
         + " persist=" + (persist ? "on" : "off");
 }
@@ -85,7 +81,6 @@ std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt)
     const axes base = axes_of(spec);
     if (!opt.matrix) return {base};
 
-    const std::uint32_t bursts[] = {1, opt.wide_burst};
     const auto values = [](bool sweep, bool fixed) {
         return sweep ? std::vector<bool>{true, false} : std::vector<bool>{fixed};
     };
@@ -95,24 +90,21 @@ std::vector<axes> matrix_for(const scenario_spec& spec, const options& opt)
     const auto persists = values(spec_sweeps_persist(spec), base.persist);
 
     std::vector<axes> out;
-    for (std::uint32_t b : bursts)
-        for (bool pol : policies)
-            for (bool tr : traces)
-                for (bool pe : persists) {
-                    axes ax = base;
-                    ax.burst = b;
-                    ax.closed_loop = pol;
-                    ax.trace = tr;
-                    ax.persist = pe;
-                    out.push_back(ax);
-                }
+    for (bool pol : policies)
+        for (bool tr : traces)
+            for (bool pe : persists) {
+                axes ax = base;
+                ax.closed_loop = pol;
+                ax.trace = tr;
+                ax.persist = pe;
+                out.push_back(ax);
+            }
     return out;
 }
 
 scenario_spec apply_axes(const scenario_spec& spec, const axes& ax)
 {
     scenario_spec s = spec;
-    s.set_link_burst(ax.burst);
     const auto preset = ax.closed_loop ? control::mode_preset::closed_loop
                                        : control::mode_preset::static_preset;
     s.shapeshift.policy = preset;
@@ -315,8 +307,6 @@ scenario_spec generate(std::uint64_t seed)
     }
 
     s.set_seed(r.range(1, 1u << 20));
-    static const std::uint32_t bursts[] = {1, 2, 4, 8, 16, 32};
-    s.set_link_burst(r.pick(bursts));
     return s;
 }
 

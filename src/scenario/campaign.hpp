@@ -2,9 +2,9 @@
 //
 // A scenario file says what one run looks like; the campaign says what
 // must be TRUE of every run. Each scenario is re-executed across the
-// axis matrix — burst {1, wide} × policy {closed_loop, static} ×
-// tracing {on, off} × persistence {on, off}, with axes a topology does
-// not support collapsed — and every cell must uphold the protocol
+// axis matrix — policy {closed_loop, static} × tracing {on, off} ×
+// persistence {on, off}, with axes a topology does not support
+// collapsed — and every cell must uphold the protocol
 // invariants the repo's tests prove one by one:
 //
 //   wholeness       delivered == expected, zero give-ups, zero
@@ -31,7 +31,6 @@ namespace mmtp::scenario::campaign {
 
 /// One point of the axis matrix.
 struct axes {
-    std::uint32_t burst{1};
     bool closed_loop{true};
     bool trace{true};
     bool persist{true};
@@ -59,8 +58,6 @@ struct options {
     /// cell exactly as written (the fuzz campaign's mode — generated
     /// specs randomize the axes inside the spec itself).
     bool matrix{true};
-    /// The wide value of the burst axis.
-    std::uint32_t wide_burst{32};
 };
 
 /// The axis matrix for a spec: unsupported axes are collapsed to the

@@ -75,13 +75,11 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     netsim::link_config clean;
     clean.rate = data_rate::from_gbps(100);
     clean.propagation = sim_duration{1000};
-    clean.burst = cfg.link_burst;
 
     netsim::link_config wan;
     wan.rate = cfg.wan_rate;
     wan.propagation = cfg.wan_delay;
     wan.queue_capacity_bytes = cfg.wan_queue_bytes;
-    wan.burst = cfg.link_burst;
 
     const auto [src_uplink_port, _s] = net.connect(*tb->src, *tb->tofino, clean);
     tb->wan_primary_port = net.connect_simplex(*tb->tofino, *tb->rx_host, wan);

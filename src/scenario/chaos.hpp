@@ -87,8 +87,6 @@ struct chaos_config {
     /// Ring capacity in records (rounded up to a power of two). The
     /// default holds the whole drill without overwrites.
     std::size_t trace_capacity{1u << 17};
-    /// Packets per burst on every span (1 = classic per-packet path).
-    std::uint32_t link_burst{1};
     /// Write buf1 through a durable store. Required (and forced) when
     /// revive_at > 0 — a revive without an archive has nothing to reload.
     bool persist{true};

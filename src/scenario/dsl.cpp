@@ -1,6 +1,5 @@
 #include "scenario/dsl.hpp"
 
-#include "netsim/link.hpp"
 #include "scenario/registry.hpp"
 
 #include <fstream>
@@ -607,26 +606,6 @@ void scenario_spec::set_seed(std::uint64_t s)
     soak.seed = s;
 }
 
-std::uint32_t scenario_spec::link_burst() const
-{
-    if (topology == "today") return today.today.link_burst;
-    if (topology == "chaos") return chaos.link_burst;
-    if (topology == "overload") return overload.link_burst;
-    if (topology == "shapeshift") return shapeshift.link_burst;
-    if (topology == "soak") return soak.link_burst;
-    return pilot.pilot.link_burst;
-}
-
-void scenario_spec::set_link_burst(std::uint32_t b)
-{
-    pilot.pilot.link_burst = b;
-    today.today.link_burst = b;
-    chaos.link_burst = b;
-    overload.link_burst = b;
-    shapeshift.link_burst = b;
-    soak.link_burst = b;
-}
-
 // --- parsing -------------------------------------------------------------
 
 parse_outcome parse_scenario(const std::string& text)
@@ -640,7 +619,6 @@ parse_outcome parse_scenario(const std::string& text)
     std::set<std::string> seen_sections;
     std::set<std::string> seen_keys;
     std::optional<std::uint64_t> staged_seed;
-    std::optional<std::uint32_t> staged_burst;
 
     auto fail = [&](unsigned ln, std::string msg) {
         out.spec.reset();
@@ -731,12 +709,12 @@ parse_outcome parse_scenario(const std::string& text)
                 if (!parse_bool(value, spec.lossy))
                     return fail(line_no, "expected a boolean, got '" + value + "'");
             } else if (key == "link_burst") {
+                // Inert: every link runs the one per-packet path. The
+                // key keeps its old range so the benchmark's specs parse.
                 std::uint64_t b = 0;
-                if (!parse_count(value, b) || b < 1 || b > netsim::max_burst)
-                    return fail(line_no, "link_burst must be in [1, "
-                                    + std::to_string(netsim::max_burst) + "], got '"
-                                    + value + "'");
-                staged_burst = static_cast<std::uint32_t>(b);
+                if (!parse_count(value, b) || b < 1 || b > 64)
+                    return fail(line_no, "link_burst must be in [1, 64], got '" + value
+                                    + "'");
             } else {
                 return fail(line_no, "unknown key '" + key + "' in [scenario]");
             }
@@ -768,7 +746,6 @@ parse_outcome parse_scenario(const std::string& text)
         return fail(0, "missing 'topology' key in [scenario]");
 
     if (staged_seed) spec.set_seed(*staged_seed);
-    if (staged_burst) spec.set_link_burst(*staged_burst);
     out.spec = std::move(spec);
     return out;
 }
@@ -797,7 +774,6 @@ std::string render_scenario(const scenario_spec& spec)
     out += "topology = " + copy.topology + "\n";
     out += "seed = " + std::to_string(copy.seed()) + "\n";
     out += "lossy = " + std::string(copy.lossy ? "true" : "false") + "\n";
-    out += "link_burst = " + std::to_string(copy.link_burst()) + "\n";
     for (const auto& sct : table.sections) {
         out += "\n[" + sct.name + "]\n";
         for (const auto& e : sct.entries) out += e.key + " = " + e.get() + "\n";

@@ -59,9 +59,10 @@ struct scenario_spec {
 
     std::uint64_t seed() const;
     void set_seed(std::uint64_t s);
-    /// The burst knob of the active topology config.
-    std::uint32_t link_burst() const;
-    void set_link_burst(std::uint32_t b);
+    /// Always 1: every link runs the one per-packet path. `[scenario]
+    /// link_burst` still parses, and is dropped, because the end-to-end
+    /// benchmark's specs write it.
+    std::uint32_t link_burst() const { return 1; }
     /// Always 1: the simulator runs one engine. `[engine] shards = 1`
     /// still parses because the end-to-end benchmark's specs pin it.
     std::uint32_t shards() const { return 1; }

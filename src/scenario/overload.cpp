@@ -29,12 +29,10 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     netsim::link_config clean;
     clean.rate = data_rate::from_gbps(100);
     clean.propagation = sim_duration{1000};
-    clean.burst = cfg.link_burst;
 
     netsim::link_config wan;
     wan.rate = cfg.wan_rate;
     wan.propagation = cfg.wan_delay;
-    wan.burst = cfg.link_burst;
     // The backpressure stage scales severity over [low watermark, this].
     wan.queue_capacity_bytes = cfg.band_bytes;
 

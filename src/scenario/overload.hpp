@@ -121,10 +121,6 @@ struct overload_config {
     data_rate planned_rate{data_rate::from_gbps(8)};
     bool trace{true};
     std::size_t trace_capacity{1u << 18};
-    /// Packets per burst on every span (1 = classic per-packet path).
-    /// The WAN egress itself always runs per-packet regardless — its
-    /// backpressure depth watcher must observe every transient depth.
-    std::uint32_t link_burst{1};
 };
 
 struct overload_testbed {

@@ -28,13 +28,11 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
     netsim::link_config daq_link;
     daq_link.rate = cfg.daq_rate;
     daq_link.propagation = sim_duration{500}; // sub-µs inside the rack
-    daq_link.burst = cfg.link_burst;
 
     netsim::link_config clean_100g;
     clean_100g.rate = cfg.wan_rate;
     clean_100g.propagation = sim_duration{1000};
     clean_100g.queue_capacity_bytes = cfg.wan_queue_bytes;
-    clean_100g.burst = cfg.link_burst;
 
     netsim::link_config wan_link = clean_100g;
     wan_link.propagation = cfg.wan_delay;

@@ -48,10 +48,6 @@ struct pilot_config {
     bool sequence_at_dtn{false};
     /// Queue capacity on the WAN egress.
     std::uint64_t wan_queue_bytes{8ull * 1024 * 1024};
-    /// Packets per burst on every span (1 = classic per-packet path;
-    /// clamped to netsim::max_burst). Telemetry is byte-identical at any
-    /// setting — the campaign runner sweeps this axis.
-    std::uint32_t link_burst{1};
 };
 
 struct pilot_testbed {

@@ -29,13 +29,11 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     netsim::link_config clean;
     clean.rate = data_rate::from_gbps(100);
     clean.propagation = sim_duration{1000};
-    clean.burst = cfg.link_burst;
 
     netsim::link_config wan;
     wan.rate = cfg.wan_rate;
     wan.propagation = cfg.wan_delay;
     wan.queue_capacity_bytes = cfg.wan_queue_bytes;
-    wan.burst = cfg.link_burst;
 
     net.connect(*tb->sensor, *tb->dtn1, clean);
     net.connect(*tb->dtn1, *tb->tofino, clean);

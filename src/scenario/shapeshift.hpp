@@ -74,8 +74,6 @@ struct shapeshift_config {
     sim_time flush_at{sim_time{7000000}}; // 7 ms
     bool trace{true};
     std::size_t trace_capacity{1u << 17};
-    /// Packets per burst on every span (1 = classic per-packet path).
-    std::uint32_t link_burst{1};
     /// Policy preset the engine runs. closed_loop (default) answers the
     /// burst with a runtime mode shift; static_preset pins epoch 0 and
     /// leans on NAK recovery alone — the campaign runner sweeps both.

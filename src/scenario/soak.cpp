@@ -135,13 +135,11 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     netsim::link_config clean;
     clean.rate = data_rate::from_gbps(100);
     clean.propagation = sim_duration{1000};
-    clean.burst = cfg.link_burst;
 
     netsim::link_config wan;
     wan.rate = cfg.wan_rate;
     wan.propagation = cfg.wan_delay;
     wan.queue_capacity_bytes = cfg.wan_queue_bytes;
-    wan.burst = cfg.link_burst;
 
     for (std::size_t i = 0; i < soak_experiments; ++i)
         net.connect(*tb->sensors[i], *tb->dtn1, clean);

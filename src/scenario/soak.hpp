@@ -181,9 +181,6 @@ struct soak_config {
     /// Bounded horizon for every periodic chain (polls, prunes).
     sim_time end_at{sim_time{140000000}}; // 140 ms
 
-    /// Packets per burst on every span (1 = classic per-packet path).
-    std::uint32_t link_burst{1};
-
     /// Messages the traffic loop will schedule under the mask/overrides.
     std::uint64_t expected_messages() const
     {

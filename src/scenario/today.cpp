@@ -83,13 +83,11 @@ std::unique_ptr<today_testbed> make_today(const today_config& cfg)
     netsim::link_config daq_link;
     daq_link.rate = cfg.daq_rate;
     daq_link.propagation = sim_duration{500};
-    daq_link.burst = cfg.link_burst;
 
     netsim::link_config border_link;
     border_link.rate = cfg.wan_rate;
     border_link.propagation = sim_duration{1000};
     border_link.queue_capacity_bytes = cfg.wan_queue_bytes;
-    border_link.burst = cfg.link_burst;
 
     netsim::link_config wan_link = border_link;
     wan_link.propagation = cfg.wan_delay;
@@ -99,7 +97,6 @@ std::unique_ptr<today_testbed> make_today(const today_config& cfg)
     campus_link.rate = cfg.campus_rate;
     campus_link.propagation = cfg.campus_delay;
     campus_link.queue_capacity_bytes = cfg.wan_queue_bytes;
-    campus_link.burst = cfg.link_burst;
 
     net.connect(*tb->sensor, *tb->dtn1, daq_link);
     net.connect(*tb->dtn1, *tb->border, border_link);

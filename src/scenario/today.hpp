@@ -32,8 +32,6 @@ struct today_config {
     /// Per-stream end-host ceiling for tuned TCP (§4.1: ~30 Gbps).
     data_rate tcp_host_limit{data_rate::from_gbps(30)};
     std::uint64_t wan_queue_bytes{32ull * 1024 * 1024};
-    /// Packets per burst on every span (1 = classic per-packet path).
-    std::uint32_t link_burst{1};
 };
 
 /// Pipes one TCP connection's delivered bytes into another (the

@@ -4,8 +4,8 @@
 // IPv4 + core + timestamp) to 76 bytes (+ sequencing, retransmission,
 // timeliness) and a duplication_stage that clones every packet toward one
 // subscriber. Emit, parse, stages, deparse, clone and delivery must not
-// touch the heap at link burst 1 or 32. A counting global operator new
-// makes this a deterministic count, not a timing.
+// touch the heap. A counting global operator new makes this a
+// deterministic count, not a timing.
 #include "common/interval_set.hpp"
 #include "mmtp/receiver.hpp"
 #include "mmtp/sender.hpp"
@@ -52,10 +52,10 @@ using namespace mmtp::netsim;
 constexpr std::uint64_t warmup_messages = 2000;
 constexpr std::uint64_t measured_messages = 10000;
 /// Messages handed to the sender at one instant: back-to-back packets,
-/// so burst links coalesce them into multi-packet arrival events.
+/// so packets queue behind the serializer and in flight.
 constexpr unsigned messages_per_tick = 8;
 
-/// sensor → tofino → {dst, subscriber}, every link at `burst`.
+/// sensor → tofino → {dst, subscriber}.
 struct switched_path {
     network net{7};
     host& sensor;
@@ -71,7 +71,7 @@ struct switched_path {
     std::uint64_t sent{0};
     std::uint64_t target{0};
 
-    explicit switched_path(unsigned burst)
+    switched_path()
         : sensor(net.add_host("sensor")),
           sw(net.emplace<pnet::programmable_switch>("tofino")),
           dst(net.add_host("dst")),
@@ -83,8 +83,7 @@ struct switched_path {
           rx(dst_stack),
           sub_rx(sub_stack)
     {
-        link_config cfg;
-        cfg.burst = burst;
+        const link_config cfg;
         net.connect(sensor, sw, cfg);
         net.connect(sw, dst, cfg);
         net.connect(sw, subscriber, cfg);
@@ -141,9 +140,11 @@ std::uint64_t allocations_for(switched_path& path, std::uint64_t messages)
     return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
-void expect_allocation_free(unsigned burst)
+} // namespace
+
+TEST(alloc_free, switched_path_at_burst_1)
 {
-    switched_path path(burst);
+    switched_path path;
     path.run(warmup_messages);
     const auto allocs = allocations_for(path, measured_messages);
 
@@ -157,19 +158,7 @@ void expect_allocation_free(unsigned burst)
     EXPECT_EQ(path.sw.stats().clones, total);
 
     EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / measured_messages
-                          << " allocations per message at burst " << burst;
-}
-
-} // namespace
-
-TEST(alloc_free, switched_path_at_burst_1)
-{
-    expect_allocation_free(1);
-}
-
-TEST(alloc_free, switched_path_at_burst_32)
-{
-    expect_allocation_free(32);
+                          << " allocations per message";
 }
 
 TEST(alloc_free, in_order_interval_inserts)

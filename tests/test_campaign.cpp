@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <array>
+#include <fstream>
+#include <sstream>
 
 using namespace mmtp;
 using namespace mmtp::scenario;
@@ -189,6 +191,35 @@ TEST(campaign_files, single_shard_telemetry_matches_pre_shard_pins)
     }
 }
 
+// Every link runs the one per-packet path, so the `link_burst` key the
+// end-to-end benchmark's specs still write parses and changes nothing.
+// chaos is the drill whose report a burst > 1 used to move.
+TEST(campaign_files, link_burst_key_is_inert)
+{
+    const std::string path = std::string(MMTP_SCENARIO_DIR) + "/chaos.scenario";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    const std::string section = "[scenario]\n";
+    const auto at = text.find(section);
+    ASSERT_NE(at, std::string::npos);
+    std::string with_key = text;
+    with_key.insert(at + section.size(), "link_burst = 32\n");
+
+    const auto plain = parse_scenario(text);
+    const auto keyed = parse_scenario(with_key);
+    ASSERT_TRUE(plain) << plain.error.to_string();
+    ASSERT_TRUE(keyed) << keyed.error.to_string();
+    dsl_driver a(*plain.spec);
+    dsl_driver b(*keyed.spec);
+    const auto ca = run_and_capture(a);
+    const auto cb = run_and_capture(b);
+    EXPECT_EQ(ca.report_csv, cb.report_csv);
+    EXPECT_EQ(ca.metrics_csv, cb.metrics_csv);
+}
+
 // ------------------------------------------------------- pinned work
 
 // The engine work each checked-in scenario does, drained one step() at a
@@ -235,9 +266,8 @@ TEST(campaign_matrix, chaos_scenario_green_across_the_full_matrix)
     spec.topology = "chaos";
     spec.name = "chaos-matrix";
     const auto out = campaign::run_scenario(spec, campaign::options{});
-    // burst {1,32} x trace {on,off} x persist {on,off}; chaos has no
-    // policy axis.
-    EXPECT_EQ(out.cells.size(), 8u);
+    // trace {on,off} x persist {on,off}; chaos has no policy axis.
+    EXPECT_EQ(out.cells.size(), 4u);
     for (const auto& cell : out.cells) {
         EXPECT_TRUE(cell.passed) << cell.ax.label();
         for (const auto& f : cell.failures) ADD_FAILURE() << f;
@@ -253,7 +283,7 @@ TEST(campaign_matrix, lossy_scenario_forgives_loss_but_never_duplicates)
     spec.topology = "today";
     spec.lossy = true;
     const auto out = campaign::run_scenario(spec, campaign::options{});
-    EXPECT_EQ(out.cells.size(), 2u); // burst is today's only swept axis
+    EXPECT_EQ(out.cells.size(), 1u); // today sweeps no axis
     EXPECT_TRUE(out.passed);
     for (const auto& cell : out.cells)
         EXPECT_EQ(cell.accepted.duplicates, 0u) << cell.ax.label();
@@ -269,8 +299,8 @@ TEST(campaign_matrix, collapsed_axes_follow_the_spec)
     ASSERT_EQ(single.size(), 1u);
     EXPECT_FALSE(single[0].closed_loop);
     EXPECT_FALSE(single[0].trace);
-    // Full matrix: burst {1,32} x policy {cl,static} x trace {on,off}.
-    EXPECT_EQ(campaign::matrix_for(spec, campaign::options{}).size(), 8u);
+    // Full matrix: policy {cl,static} x trace {on,off}.
+    EXPECT_EQ(campaign::matrix_for(spec, campaign::options{}).size(), 4u);
 }
 
 // ------------------------------------------------ seeded random campaign

@@ -49,7 +49,7 @@ burst_ber = 0.0025
     const auto& c = out.spec->chaos;
     EXPECT_EQ(out.spec->name, "unit-check");
     EXPECT_EQ(out.spec->seed(), 1234u);
-    EXPECT_EQ(out.spec->link_burst(), 8u);
+    EXPECT_EQ(out.spec->link_burst(), 1u); // parsed, then dropped
     EXPECT_EQ(c.messages, 700u);
     EXPECT_EQ(c.message_bytes, 4096u);
     EXPECT_EQ(c.message_interval.ns, 4'000);
@@ -61,13 +61,13 @@ burst_ber = 0.0025
 
 TEST(dsl_parse, scenario_keys_apply_regardless_of_order)
 {
-    // seed/link_burst are staged and applied after the topology's
-    // bindings exist, so they may precede the topology key.
+    // seed is staged and applied after the topology's bindings exist,
+    // so it may precede the topology key; so may the inert link_burst.
     const auto out = parse_scenario(
         "[scenario]\nseed = 77\nlink_burst = 4\ntopology = overload\n");
     ASSERT_TRUE(out) << out.error.to_string();
     EXPECT_EQ(out.spec->seed(), 77u);
-    EXPECT_EQ(out.spec->link_burst(), 4u);
+    EXPECT_EQ(out.spec->link_burst(), 1u);
 
     // [engine] is topology-independent too; the end-to-end benchmark's
     // specs pin its one legal shard count.
@@ -149,7 +149,10 @@ TEST(dsl_errors, unknown_key_names_its_line)
 
 TEST(dsl_errors, out_of_range_values)
 {
+    // link_burst changes nothing, but keeps the range it always had.
     expect_error("[scenario]\ntopology = chaos\nlink_burst = 99\n", 3,
+                 "link_burst must be in [1, ");
+    expect_error("[scenario]\ntopology = chaos\nlink_burst = 0\n", 3,
                  "link_burst must be in [1, ");
     expect_error("[scenario]\ntopology = pilot\n[links]\nwan_loss = 1.5\n", 4,
                  "expected a fraction in [0, 1]");
@@ -237,7 +240,6 @@ TEST(dsl_render, render_parse_is_a_fixed_point_for_every_topology)
         ASSERT_TRUE(parsed) << topo << ": " << parsed.error.to_string();
         EXPECT_EQ(parsed.spec->topology, topo);
         EXPECT_EQ(parsed.spec->seed(), spec.seed());
-        EXPECT_EQ(parsed.spec->link_burst(), spec.link_burst());
         EXPECT_EQ(render_scenario(*parsed.spec), first)
             << topo << ": render -> parse -> render drifted";
     }

@@ -202,7 +202,6 @@ TEST(pipeline_stage, belongs_to_one_element)
     element_state other;
     auto ctx = make_ctx(basic_header(), 1, 2);
     EXPECT_THROW(stage->process(ctx, other), std::logic_error);
-    EXPECT_THROW(stage->process_burst(&ctx, 1, other), std::logic_error);
 }
 
 // ---------------------------------------------------- mode transitions
