@@ -15,7 +15,6 @@
 // counts the failed scenarios; the exit status is 0 when none failed,
 // 1 when any did and 2 on a usage error.
 #include "scenario/campaign.hpp"
-#include "scenario/registry.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -78,7 +77,7 @@ int main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--list") {
-            for (const auto& n : scenario::registry::names())
+            for (const auto& n : scenario::topology_names())
                 std::printf("%s\n", n.c_str());
             return 0;
         } else if (arg == "--single") {

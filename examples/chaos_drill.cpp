@@ -17,7 +17,7 @@
 //      advert) — which retransmits the stranded sequences.
 //
 // Run it twice with the same seed: the telemetry is byte-identical.
-#include "scenario/registry.hpp"
+#include "scenario/chaos.hpp"
 
 #include <cstdio>
 
@@ -25,12 +25,8 @@ int main()
 {
     using namespace mmtp;
 
-    scenario::scenario_spec spec;
-    spec.topology = "chaos";
-    auto dp = scenario::registry::make(spec);
-    auto rp = scenario::registry::make(spec);
-    auto& d = static_cast<scenario::chaos_driver&>(*dp);
-    auto& rerun = static_cast<scenario::chaos_driver&>(*rp);
+    scenario::chaos_driver d;
+    scenario::chaos_driver rerun;
     const int rc = scenario::run_example(d, &rerun);
 
     const auto& r = d.result();

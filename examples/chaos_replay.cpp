@@ -17,6 +17,7 @@
 // tools can rebuild a flight recorder and walk message timelines long
 // after the run — the recorded-run corpus the ROADMAP asks for.
 #include "scenario/chaos.hpp"
+#include "telemetry/run_recorder.hpp"
 
 #include <cstdio>
 #include <cstring>

@@ -22,7 +22,7 @@
 //      admitted automatically.
 //
 // Run it twice with the same seed: the telemetry is byte-identical.
-#include "scenario/registry.hpp"
+#include "scenario/overload.hpp"
 
 #include <cstdio>
 
@@ -30,12 +30,8 @@ int main()
 {
     using namespace mmtp;
 
-    scenario::scenario_spec spec;
-    spec.topology = "overload";
-    auto dp = scenario::registry::make(spec);
-    auto rp = scenario::registry::make(spec);
-    auto& d = static_cast<scenario::overload_driver&>(*dp);
-    auto& rerun = static_cast<scenario::overload_driver&>(*rp);
+    scenario::overload_driver d;
+    scenario::overload_driver rerun;
     const int rc = scenario::run_example(d, &rerun);
 
     const auto& r = d.result();

@@ -9,7 +9,7 @@
 // start from. Prints the per-stage story and the modes observed in flight.
 //
 //   $ ./pilot_study [loss%]          (default 2)
-#include "scenario/registry.hpp"
+#include "scenario/pilot.hpp"
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,13 +23,11 @@ int main(int argc, char** argv)
 {
     const double loss = argc > 1 ? std::atof(argv[1]) / 100.0 : 0.02;
 
-    scenario::scenario_spec spec;
-    spec.topology = "pilot";
-    spec.pilot.pilot.wan_loss = loss;
-    spec.pilot.pilot.wan_delay = 5_ms;
-    spec.pilot.records = 5000;
-    auto dp = scenario::registry::make(spec);
-    auto& d = static_cast<scenario::pilot_driver&>(*dp);
+    scenario::pilot_driver::options opt;
+    opt.pilot.wan_loss = loss;
+    opt.pilot.wan_delay = 5_ms;
+    opt.records = 5000;
+    scenario::pilot_driver d(opt);
 
     // Observe the modes arriving at DTN 2 — hook the testbed before run.
     d.prepare();
@@ -53,7 +51,7 @@ int main(int argc, char** argv)
                 static_cast<unsigned long long>(
                     tb.dtn2_rx->stats().age_us.percentile(99)));
 
-    const bool ok = tb.dtn2_rx->stats().datagrams == spec.pilot.records
+    const bool ok = tb.dtn2_rx->stats().datagrams == opt.records
         && tb.dtn2_rx->stats().given_up == 0;
     std::printf("\n%s\n", ok ? "OK: pilot delivered every record exactly once."
                              : "FAILED: pilot lost records!");

@@ -19,7 +19,7 @@
 //      polls) the engine returns the flow to baseline under epoch 2.
 //
 // Run it twice with the same seed: the telemetry is byte-identical.
-#include "scenario/registry.hpp"
+#include "scenario/shapeshift.hpp"
 
 #include <cstdio>
 
@@ -27,12 +27,8 @@ int main()
 {
     using namespace mmtp;
 
-    scenario::scenario_spec spec;
-    spec.topology = "shapeshift";
-    auto dp = scenario::registry::make(spec);
-    auto rp = scenario::registry::make(spec);
-    auto& d = static_cast<scenario::shapeshift_driver&>(*dp);
-    auto& rerun = static_cast<scenario::shapeshift_driver&>(*rp);
+    scenario::shapeshift_driver d;
+    scenario::shapeshift_driver rerun;
     const int rc = scenario::run_example(d, &rerun);
 
     const auto& r = d.result();

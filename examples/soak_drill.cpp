@@ -24,7 +24,7 @@
 // same-seed runs produce byte-identical telemetry even though every
 // hot-path lookup underneath is hashed. Pass --smoke for the CI-sized
 // variant (~10k messages, same storm).
-#include "scenario/registry.hpp"
+#include "scenario/soak.hpp"
 
 #include <cstdio>
 #include <cstring>
@@ -34,13 +34,9 @@ int main(int argc, char** argv)
     using namespace mmtp;
 
     const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-    scenario::scenario_spec spec;
-    spec.topology = "soak";
-    if (smoke) spec.soak = scenario::soak_smoke_config();
-    auto dp = scenario::registry::make(spec);
-    auto rp = scenario::registry::make(spec);
-    auto& d = static_cast<scenario::soak_driver&>(*dp);
-    auto& rerun = static_cast<scenario::soak_driver&>(*rp);
+    const auto cfg = smoke ? scenario::soak_smoke_config() : scenario::soak_config{};
+    scenario::soak_driver d(cfg);
+    scenario::soak_driver rerun(cfg);
     const int rc = scenario::run_example(d, &rerun);
 
     const auto& r = d.result();

@@ -7,8 +7,7 @@
 // reason and one 64-bit kind-specific argument (bytes, sequence number,
 // address, packed NAK range). The ring is preallocated, so emitting on
 // the PR-1 packet hot path performs zero allocations; when no recorder
-// is installed the emit helper is a single pointer test, and with
-// MMTP_TRACING defined to 0 it compiles away entirely.
+// is installed the emit helper is a single thread-local pointer test.
 //
 // Joining records into a *message* timeline works through binding
 // events: a sequence-insert or retransmit record binds a packet id to a
@@ -26,10 +25,6 @@
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#ifndef MMTP_TRACING
-#define MMTP_TRACING 1
-#endif
 
 namespace mmtp::trace {
 
@@ -187,22 +182,12 @@ inline flight_recorder* recorder() noexcept { return detail::g_recorder; }
 inline void install(flight_recorder* r) noexcept { detail::g_recorder = r; }
 inline bool active() noexcept { return detail::g_recorder != nullptr; }
 
-/// Hot-path emit: one pointer test when tracing is compiled in and no
-/// recorder installed; a literal no-op when MMTP_TRACING is 0.
+/// Hot-path emit: one pointer test when no recorder is installed.
 inline void emit(sim_time at, std::uint32_t site_id, hop kind, std::uint64_t packet_id,
                  std::uint64_t arg = 0, reason why = reason::none) noexcept
 {
-#if MMTP_TRACING
     if (flight_recorder* r = detail::g_recorder)
         r->emit(at.ns, site_id, kind, packet_id, arg, why);
-#else
-    (void)at;
-    (void)site_id;
-    (void)kind;
-    (void)packet_id;
-    (void)arg;
-    (void)why;
-#endif
 }
 
 class scoped_recorder {

@@ -40,15 +40,6 @@ experiment_profile vera_rubin_profile()
             8192, 21, "telescope; nightly 30 TB capture + 5.4 Gbps alert bursts"};
 }
 
-experiment_profile iceberg_profile()
-{
-    // One LArTPC readout chain: WIB-like frames (see wib.hpp) at a
-    // cadence that produces ~10 Gbps — the pilot aggregates chains to
-    // saturate 100 GbE.
-    return {"ICEBERG", wire::experiments::iceberg, data_rate{10000000000ull},
-            5632, 1, "DUNE prototype LArTPC used in the pilot study"};
-}
-
 const std::vector<experiment_profile>& table1_profiles()
 {
     static const std::vector<experiment_profile> profiles = {

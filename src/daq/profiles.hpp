@@ -52,8 +52,4 @@ experiment_profile ecce_profile();       // 100 Tbps
 experiment_profile mu2e_profile();       // 160 Gbps
 experiment_profile vera_rubin_profile(); // 400 Gbps
 
-/// The ICEBERG DUNE prototype used in the pilot study (§5.4): a single
-/// LArTPC readout chain that comfortably fits a 100 GbE path.
-experiment_profile iceberg_profile();
-
 } // namespace mmtp::daq

@@ -68,9 +68,6 @@ public:
     /// Fills `frame.adc` for the next sample instant and advances state.
     void fill(wib_frame& frame);
 
-    void set_activity(double a) { cfg_.activity = a; }
-    const config& get_config() const { return cfg_; }
-
 private:
     rng rng_;
     config cfg_;

@@ -7,6 +7,11 @@
 
 namespace mmtp::core {
 
+namespace {
+/// Severity advertised in storage-pressure backpressure signals.
+constexpr std::uint8_t pressure_level = 192;
+} // namespace
+
 buffer_service::buffer_service(stack& st, buffer_service_config cfg)
     : stack_(st), cfg_(cfg), buffer_(cfg.buffer)
 {
@@ -124,7 +129,7 @@ void buffer_service::check_pressure(wire::ipv4_addr src, wire::experiment_id exp
     sig = {pressure_epoch_, now};
 
     wire::backpressure_body body;
-    body.level = cfg_.pressure_level;
+    body.level = pressure_level;
     body.origin = stack_.host().address();
     body.queue_depth_pkts = static_cast<std::uint32_t>(buffer_.entries());
     byte_writer w;

@@ -57,8 +57,6 @@ struct buffer_service_config {
     /// once occupancy decays below the low watermark.
     std::uint64_t occupancy_high_bytes{0};
     std::uint64_t occupancy_low_bytes{0};
-    /// Severity advertised in storage-pressure backpressure signals.
-    std::uint8_t pressure_level{192};
     /// Pace for NAK-triggered retransmissions (0 = unpaced). Repair
     /// traffic answers bursts of loss, and un-paced it arrives as a
     /// line-rate burst that re-overloads the very segment it is

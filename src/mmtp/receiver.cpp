@@ -83,7 +83,7 @@ void receiver::on_data(delivered_datagram&& d)
             age_us = age_ns > 0 ? static_cast<std::uint32_t>(age_ns / 1000) : 0;
         }
         stats_.age_us.record(age_us);
-        if (cfg_.check_deadline && h.timeliness->deadline_us > 0
+        if (h.timeliness->deadline_us > 0
             && (h.timeliness->aged() || age_us > h.timeliness->deadline_us)) {
             stats_.aged_on_arrival++;
         }

@@ -26,9 +26,6 @@
 namespace mmtp::core {
 
 struct receiver_config {
-    /// Destination deadline check (pilot mode 3): count and report
-    /// datagrams whose age exceeds their deadline on arrival.
-    bool check_deadline{true};
     /// Shared retry/backoff schedule: reorder grace, NAK retry base/cap
     /// (the mode policy sets the base per deployment — it should exceed
     /// the RTT to the buffer), attempt budget and failover threshold.

@@ -130,10 +130,8 @@ void sender::send_message(const daq::daq_message& msg)
         wire::header h;
         h.m = cfg_.origin_mode;
         h.experiment = msg.experiment;
-        if (cfg_.timestamp) {
-            h.m.set(wire::feature::timestamped);
-            h.timestamp_ns = msg.timestamp_ns;
-        }
+        h.m.set(wire::feature::timestamped);
+        h.timestamp_ns = msg.timestamp_ns;
         // The origin mode may activate features whose values the network
         // fills in (e.g. timeliness: the boundary element sets the
         // deadline); emit default-valued fields so the header is

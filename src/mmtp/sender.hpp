@@ -21,10 +21,9 @@ namespace mmtp::core {
 
 struct sender_config {
     /// Origin mode; feature bits present here are emitted from source.
+    /// Every datagram also carries its message's source timestamp (DAQ
+    /// measurements are time-stamped, Req 7; age tracking needs it).
     wire::mode origin_mode{};
-    /// Attach a source timestamp to every datagram (on by default —
-    /// DAQ measurements are time-stamped, Req 7; age tracking needs it).
-    bool timestamp{true};
     /// Split messages larger than this into multiple datagrams, each
     /// carrying the message's timestamp (fits jumbo frames).
     std::uint32_t max_datagram_payload{8192};

@@ -47,8 +47,7 @@ void link::send(packet&& p)
     }
     // Cut-through: an idle serializer with an empty queue takes the
     // packet directly — same timing, same statistics, two fewer moves.
-    // Depth watchers disable it (they must observe the transient depth).
-    if (!busy() && !depth_watcher_ && queue_->empty() && queue_->would_accept(p)) {
+    if (!busy() && queue_->empty() && queue_->would_accept(p)) {
         queue_->note_passthrough(wire);
         trace::emit(eng_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
         trace::emit(eng_.now(), trace_site_, trace::hop::link_dequeue, pid, wire);
@@ -59,11 +58,9 @@ void link::send(packet&& p)
         // queue discipline recorded the drop
         trace::emit(eng_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::queue_full);
-        if (depth_watcher_) depth_watcher_(queue_->byte_depth());
         return;
     }
     trace::emit(eng_.now(), trace_site_, trace::hop::link_enqueue, pid, wire);
-    if (depth_watcher_) depth_watcher_(queue_->byte_depth());
     resume();
 }
 

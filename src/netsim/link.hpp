@@ -82,13 +82,6 @@ public:
     std::size_t queue_depth_packets() const { return queue_->packet_depth(); }
     node& destination() { return to_; }
 
-    /// Observer invoked after every enqueue with the new queue depth —
-    /// programmable elements hook this to originate backpressure.
-    void set_depth_watcher(std::function<void(std::uint64_t bytes)> w)
-    {
-        depth_watcher_ = std::move(w);
-    }
-
     // --- fault surface (driven by netsim::fault_scheduler) ---
 
     /// Administrative/physical state. While down: new send() calls are
@@ -134,7 +127,6 @@ private:
     bool up_{true};
     std::uint32_t trace_site_{0};
     link_stats stats_;
-    std::function<void(std::uint64_t)> depth_watcher_;
     std::function<void(bool)> state_watcher_;
 
     // The horizon's initial key (0, 0) counts as reached, so a fresh

@@ -25,8 +25,7 @@ const link& node::egress(unsigned port) const
 unsigned node::route(wire::ipv4_addr dst) const
 {
     auto it = routes_.find(dst);
-    if (it != routes_.end()) return it->second;
-    return default_route_;
+    return it != routes_.end() ? it->second : no_port;
 }
 
 } // namespace mmtp::netsim

@@ -65,8 +65,6 @@ public:
 
     /// Static L3 route: packets for `dst` leave via `port`.
     void add_route(wire::ipv4_addr dst, unsigned port) { routes_[dst] = port; }
-    /// Default route used when no specific entry matches (no_port = none).
-    void set_default_route(unsigned port) { default_route_ = port; }
     /// Resolves the egress port for `dst`; no_port when unroutable.
     unsigned route(wire::ipv4_addr dst) const;
 
@@ -84,7 +82,6 @@ private:
     wire::mac_addr mac_;
     std::vector<std::unique_ptr<link>> links_;
     std::unordered_map<wire::ipv4_addr, unsigned> routes_;
-    unsigned default_route_{no_port};
     bool powered_{true};
     std::uint64_t blackout_dropped_{0};
 };

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 namespace mmtp::netsim {
@@ -48,8 +47,6 @@ struct packet {
     {
         return headers.size() + payload.size() + virtual_payload;
     }
-
-    std::span<const std::uint8_t> header_view() const { return headers.view(); }
 };
 
 /// Monotonic packet-id source (netsim::network owns one per simulation).

@@ -1,6 +1,7 @@
 #include "scenario/chaos.hpp"
 
 #include "daq/message.hpp"
+#include "telemetry/run_recorder.hpp"
 
 namespace mmtp::scenario {
 
@@ -9,26 +10,21 @@ namespace {
 constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
 
-/// End-of-window flush: sequence numbers were assigned in-network, so
-/// the marker reads the Tofino's own counter. Three copies: the marker
-/// crosses the (post-fault) WAN like everything else.
-void send_flush(chaos_testbed& tb)
+/// The drill's one metrics list: every layer reports into one place.
+void register_metrics(telemetry::metrics_registry& reg, chaos_testbed& tb)
 {
-    auto& st = tb.tofino->state();
-    st.create_register("mode_seq", pnet::mode_transition_stage::seq_register_cells);
-    const auto cell =
-        st.reg("mode_seq", pnet::mode_transition_stage::seq_cell_of(drill_stream));
-    wire::stream_flush_body body;
-    body.experiment = drill_stream;
-    body.epoch = static_cast<std::uint16_t>(cell >> 48);
-    body.next_sequence = cell & 0xffffffffffffull;
-    byte_writer w;
-    serialize(body, w);
-    for (int i = 0; i < 3; ++i) {
-        tb.src_stack->send_control(
-            tb.rx_host->address(), drill_stream, wire::control_type::stream_flush,
-            std::vector<std::uint8_t>(w.view().begin(), w.view().end()));
-    }
+    telemetry::register_engine_metrics(reg, tb.net.sim());
+    telemetry::register_link_metrics(reg, "wan-primary", *tb.wan_primary);
+    telemetry::register_link_metrics(reg, "wan-backup", *tb.wan_backup);
+    telemetry::register_link_metrics(reg, "buf1-feed", *tb.buf1_feed);
+    telemetry::register_planner_metrics(reg, tb.planner,
+                                        {"daq", "wan-primary", "wan-backup"});
+    telemetry::register_health_metrics(reg, *tb.health);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_sender_metrics(reg, "src", *tb.tx);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "buf1", *tb.buf1_svc);
+    telemetry::register_buffer_metrics(reg, "buf2", *tb.buf2_svc);
 }
 } // namespace
 
@@ -96,7 +92,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     tb->buf1_feed = &tb->tofino->egress(buf1_feed_port);
     tb->buf2_feed = &tb->tofino->egress(buf2_feed_port);
 
-    // --- observability: flight recorder sites + metrics registry ---
+    // --- observability: flight recorder sites ---
     if (cfg.trace) {
         tb->tracer = std::make_unique<trace::flight_recorder>(cfg.trace_capacity);
         tb->tracer_install = std::make_unique<trace::scoped_recorder>(*tb->tracer);
@@ -213,20 +209,6 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
                                                     tbp->buf1->address());
         });
 
-    // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, eng);
-    telemetry::register_link_metrics(tb->metrics, "wan-primary", *tb->wan_primary);
-    telemetry::register_link_metrics(tb->metrics, "wan-backup", *tb->wan_backup);
-    telemetry::register_link_metrics(tb->metrics, "buf1-feed", *tb->buf1_feed);
-    telemetry::register_planner_metrics(tb->metrics, planner,
-                                        {"daq", "wan-primary", "wan-backup"});
-    telemetry::register_health_metrics(tb->metrics, *tb->health);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_sender_metrics(tb->metrics, "src", *tb->tx);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "buf1", *tb->buf1_svc);
-    telemetry::register_buffer_metrics(tb->metrics, "buf2", *tb->buf2_svc);
-
     // --- traffic, advert, flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,
                               cfg.first_message, cfg.messages);
@@ -240,9 +222,14 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     eng.schedule_at(sim_time{10000},
                     [tbp = tb.get()] { tbp->buf1_svc->advertise(tbp->rx_host->address()); });
 
-    eng.schedule_at(cfg.flush_at, [tbp = tb.get()] { send_flush(*tbp); });
-    if (cfg.flush2_at.ns > 0)
-        eng.schedule_at(cfg.flush2_at, [tbp = tb.get()] { send_flush(*tbp); });
+    // End-of-window flush: sequence numbers were assigned in-network, so
+    // the marker reads the Tofino's own counter.
+    const auto flush = [tbp = tb.get()] {
+        send_switch_flush(*tbp->tofino, *tbp->src_stack, tbp->rx_host->address(),
+                          drill_stream);
+    };
+    eng.schedule_at(cfg.flush_at, flush);
+    if (cfg.flush2_at.ns > 0) eng.schedule_at(cfg.flush2_at, flush);
 
     // --- the fault script ---
     // Snapshot first (same instant, scheduled earlier => runs earlier):
@@ -324,7 +311,9 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     return tb;
 }
 
-chaos_result summarize_chaos(chaos_testbed& tbr)
+namespace {
+/// Summarizes an already-run testbed.
+chaos_result summarize(chaos_testbed& tbr)
 {
     auto* tb = &tbr;
     const auto& cfg = tb->cfg;
@@ -398,9 +387,10 @@ chaos_result summarize_chaos(chaos_testbed& tbr)
     row("time_to_recover2_ns",
         static_cast<std::uint64_t>(r.recovered2 ? r.time_to_recover2.ns : 0));
     row("recovery2_probes", r.probes2);
-    r.csv = t.csv();
 
-    r.metrics_csv = tb->metrics.to_csv();
+    telemetry::metrics_registry reg;
+    register_metrics(reg, *tb);
+    r.metrics_csv = reg.to_csv();
 
     // Pick the first sequence the fallback buffer re-sent and render its
     // whole journey — the drill's proof that recovery crossed the backup
@@ -427,18 +417,52 @@ chaos_result summarize_chaos(chaos_testbed& tbr)
     if (cfg.record) {
         telemetry::run_recorder rec("chaos", cfg.seed);
         if (tb->tracer) rec.capture_trace(*tb->tracer);
-        rec.capture_metrics(tb->metrics);
-        rec.capture_report(r.csv);
+        rec.capture_metrics(reg);
+        rec.capture_report(t.csv());
         r.recording = rec.finalize();
     }
     return r;
 }
+} // namespace
+
+// --- chaos_driver ----------------------------------------------------------
+
+std::string chaos_driver::describe() const
+{
+    return "chaos drill: " + std::to_string(cfg_.messages) + " messages of "
+        + std::to_string(cfg_.message_bytes) + " B, WAN + buffer fault at "
+        + std::to_string(cfg_.fault_at.ns / 1000000) + " ms";
+}
+
+run_context chaos_driver::build()
+{
+    tb_ = make_chaos(cfg_);
+    return run_context(tb_->net);
+}
+
+const chaos_result& chaos_driver::result()
+{
+    if (!result_) result_ = summarize(*tb_);
+    return *result_;
+}
+
+telemetry::table chaos_driver::report(telemetry::metrics_registry& reg)
+{
+    register_metrics(reg, *tb_);
+    return result().report;
+}
+
+driver::acceptance chaos_driver::accept()
+{
+    const auto& r = result();
+    return stream_acceptance(r.messages_sent, r.rx.datagrams, *tb_->rx);
+}
 
 chaos_result run_chaos_drill(const chaos_config& cfg)
 {
-    auto tb = make_chaos(cfg);
-    tb->net.sim().run();
-    return summarize_chaos(*tb);
+    chaos_driver d(cfg);
+    d.run();
+    return d.result();
 }
 
 } // namespace mmtp::scenario

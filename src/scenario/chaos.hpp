@@ -24,7 +24,7 @@
 //
 // Everything — faults, probes, recovery — rides the simulation engine,
 // so two runs with the same config produce byte-identical telemetry
-// (chaos_result::csv), which is what test_chaos asserts.
+// (chaos_result::report), which is what test_chaos asserts.
 #pragma once
 
 #include "common/trace.hpp"
@@ -37,13 +37,13 @@
 #include "netsim/fault.hpp"
 #include "netsim/network.hpp"
 #include "pnet/stages.hpp"
-#include "telemetry/metrics.hpp"
+#include "scenario/driver.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/report.hpp"
-#include "telemetry/run_recorder.hpp"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace mmtp::scenario {
 
@@ -176,10 +176,9 @@ struct chaos_testbed {
     std::unique_ptr<telemetry::recovery_tracker> recovery2;
 
     /// Flight recorder (installed for the testbed's lifetime when
-    /// cfg.trace) and the run's metrics registry.
+    /// cfg.trace).
     std::unique_ptr<trace::flight_recorder> tracer;
     std::unique_ptr<trace::scoped_recorder> tracer_install;
-    telemetry::metrics_registry metrics;
 
     std::uint64_t messages_scheduled{0};
     std::uint64_t datagrams_at_fault{0};
@@ -187,7 +186,7 @@ struct chaos_testbed {
 
 /// Builds the drill topology, wires the failure-aware control plane, and
 /// scripts the traffic, the fault and the flush. Call net.sim().run()
-/// (or use run_chaos_drill) to execute.
+/// (or use chaos_driver / run_chaos_drill) to execute.
 std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg);
 
 struct chaos_result {
@@ -216,9 +215,8 @@ struct chaos_result {
     std::uint64_t probes2{0};
 
     /// The run's telemetry as a table (integer cells only, so rendering
-    /// is deterministic) and its CSV bytes for run-to-run comparison.
+    /// and its CSV bytes are deterministic).
     telemetry::table report{"chaos drill"};
-    std::string csv;
 
     /// Hop-by-hop story of one failed-over message (the first sequence
     /// buf2 retransmitted): rendered timeline, whether it crossed the
@@ -236,8 +234,25 @@ struct chaos_result {
     std::vector<std::uint8_t> recording;
 };
 
-/// Summarizes an already-run testbed (drivers separate build/run/report).
-chaos_result summarize_chaos(chaos_testbed& tb);
+/// Coordinated WAN + buffer failure mid-transfer (chaos drill).
+class chaos_driver : public driver {
+public:
+    explicit chaos_driver(chaos_config cfg = {}) : cfg_(cfg) {}
+
+    std::string describe() const override;
+    run_context build() override;
+    telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+
+    chaos_testbed& testbed() { return *tb_; }
+    /// Summarized once after run(); report() fills it.
+    const chaos_result& result();
+
+private:
+    chaos_config cfg_;
+    std::unique_ptr<chaos_testbed> tb_;
+    std::optional<chaos_result> result_;
+};
 
 /// Builds, runs to completion, and summarizes one chaos drill.
 chaos_result run_chaos_drill(const chaos_config& cfg);

@@ -1,7 +1,7 @@
 #include "scenario/dsl.hpp"
 
-#include "scenario/registry.hpp"
-
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -580,7 +580,56 @@ binding_table build_bindings(scenario_spec& spec)
     return t;
 }
 
+/// The six topologies: each name and the concrete driver a spec of it
+/// runs through. Alphabetical, so topology_names() needs no sort.
+struct topology_entry {
+    const char* name;
+    std::unique_ptr<driver> (*make)(const scenario_spec&);
+};
+
+constexpr std::array<topology_entry, 6> topologies{{
+    {"chaos",
+     [](const scenario_spec& s) -> std::unique_ptr<driver> {
+         return std::make_unique<chaos_driver>(s.chaos);
+     }},
+    {"overload",
+     [](const scenario_spec& s) -> std::unique_ptr<driver> {
+         return std::make_unique<overload_driver>(s.overload);
+     }},
+    {"pilot",
+     [](const scenario_spec& s) -> std::unique_ptr<driver> {
+         return std::make_unique<pilot_driver>(s.pilot);
+     }},
+    {"shapeshift",
+     [](const scenario_spec& s) -> std::unique_ptr<driver> {
+         return std::make_unique<shapeshift_driver>(s.shapeshift);
+     }},
+    {"soak",
+     [](const scenario_spec& s) -> std::unique_ptr<driver> {
+         return std::make_unique<soak_driver>(s.soak);
+     }},
+    {"today",
+     [](const scenario_spec& s) -> std::unique_ptr<driver> {
+         return std::make_unique<today_driver>(s.today);
+     }},
+}};
+
+const topology_entry* find_topology(const std::string& name)
+{
+    const auto it = std::find_if(topologies.begin(), topologies.end(),
+                                 [&](const topology_entry& e) { return name == e.name; });
+    return it == topologies.end() ? nullptr : &*it;
+}
+
 } // namespace
+
+std::vector<std::string> topology_names()
+{
+    std::vector<std::string> out;
+    out.reserve(topologies.size());
+    for (const auto& e : topologies) out.emplace_back(e.name);
+    return out;
+}
 
 // --- scenario_spec -------------------------------------------------------
 
@@ -689,10 +738,11 @@ parse_outcome parse_scenario(const std::string& text)
             if (key == "name") {
                 spec.name = value;
             } else if (key == "topology") {
-                if (!registry::known(value)) {
+                if (find_topology(value) == nullptr) {
                     std::string known_names;
-                    for (const auto& n : registry::names())
-                        known_names += (known_names.empty() ? "" : ", ") + n;
+                    for (const auto& e : topologies)
+                        known_names += std::string(known_names.empty() ? "" : ", ")
+                            + e.name;
                     return fail(line_no, "unknown topology '" + value
                                     + "' (known: " + known_names + ")");
                 }
@@ -785,10 +835,11 @@ std::string render_scenario(const scenario_spec& spec)
 
 dsl_driver::dsl_driver(scenario_spec spec) : spec_(std::move(spec))
 {
-    inner_ = registry::make(spec_);
-    if (inner_ == nullptr)
-        throw std::invalid_argument("dsl_driver: unknown topology '"
-                                    + spec_.topology + "'");
+    const auto* topo = find_topology(spec_.topology);
+    if (topo == nullptr)
+        throw std::invalid_argument("dsl_driver: unknown topology '" + spec_.topology
+                                    + "'");
+    inner_ = topo->make(spec_);
 }
 
 dsl_driver::~dsl_driver() = default;
@@ -797,86 +848,6 @@ std::string dsl_driver::describe() const
 {
     const std::string label = spec_.name.empty() ? spec_.topology : spec_.name;
     return "scenario '" + label + "': " + inner_->describe();
-}
-
-run_context dsl_driver::build()
-{
-    return inner_->build();
-}
-
-telemetry::table dsl_driver::report(telemetry::metrics_registry& reg)
-{
-    return inner_->report(reg);
-}
-
-dsl_driver::acceptance dsl_driver::accept()
-{
-    acceptance a;
-    if (spec_.topology == "pilot") {
-        auto& d = static_cast<pilot_driver&>(*inner_);
-        const auto st = d.testbed().dtn2_rx->stats();
-        a.expected = d.records_driven();
-        a.delivered = st.datagrams;
-        a.duplicates = st.duplicates;
-        a.given_up = st.given_up;
-        a.outstanding_gaps = d.testbed().dtn2_rx->outstanding_gaps();
-    } else if (spec_.topology == "today") {
-        auto& d = static_cast<today_driver&>(*inner_);
-        // The status-quo pipeline has no sequencing: acceptance is byte
-        // accounting at the first UDP hop (and the scenario is lossy).
-        a.expected = d.bytes_scheduled();
-        a.delivered = d.testbed().dtn1_received_bytes;
-    } else if (spec_.topology == "chaos") {
-        auto& d = static_cast<chaos_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.rx.datagrams;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    } else if (spec_.topology == "overload") {
-        auto& d = static_cast<overload_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.rx.datagrams;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    } else if (spec_.topology == "shapeshift") {
-        auto& d = static_cast<shapeshift_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.delivered;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    } else if (spec_.topology == "soak") {
-        auto& d = static_cast<soak_driver&>(*inner_);
-        const auto& r = d.result();
-        a.expected = r.messages_sent;
-        a.delivered = r.delivered;
-        a.duplicates = r.rx.duplicates;
-        a.given_up = r.rx.given_up;
-        a.outstanding_gaps = d.testbed().rx->outstanding_gaps();
-    }
-    a.whole = a.delivered == a.expected && a.given_up == 0
-        && a.outstanding_gaps == 0;
-    return a;
-}
-
-netsim::network& dsl_driver::network()
-{
-    if (spec_.topology == "pilot")
-        return static_cast<pilot_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "today")
-        return static_cast<today_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "chaos")
-        return static_cast<chaos_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "overload")
-        return static_cast<overload_driver&>(*inner_).testbed().net;
-    if (spec_.topology == "shapeshift")
-        return static_cast<shapeshift_driver&>(*inner_).testbed().net;
-    return static_cast<soak_driver&>(*inner_).testbed().net;
 }
 
 } // namespace mmtp::scenario

@@ -29,12 +29,19 @@
 // there is no partially-applied scenario.
 #pragma once
 
+#include "scenario/chaos.hpp"
 #include "scenario/driver.hpp"
+#include "scenario/overload.hpp"
+#include "scenario/pilot.hpp"
+#include "scenario/shapeshift.hpp"
+#include "scenario/soak.hpp"
+#include "scenario/today.hpp"
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace mmtp::scenario {
 
@@ -95,44 +102,35 @@ parse_outcome parse_scenario(const std::string& text);
 /// Reads and parses a scenario file (unreadable file => error outcome).
 parse_outcome load_scenario_file(const std::string& path);
 
+/// The six topology names a spec may declare, sorted.
+std::vector<std::string> topology_names();
+
 /// Renders a spec back to scenario text that parse_scenario() accepts
 /// (used by the campaign generator; not guaranteed byte-identical to
 /// the input it was parsed from — only semantically identical).
 std::string render_scenario(const scenario_spec& spec);
 
 /// Executes a parsed scenario through the standard driver interface by
-/// delegating to the concrete driver the registry builds for the
-/// spec's topology — scenario files run anywhere a driver runs
-/// (run_example, the campaign runner, tests).
+/// delegating to the concrete driver of the spec's topology — scenario
+/// files run anywhere a driver runs (run_example, the campaign runner,
+/// tests).
 class dsl_driver : public driver {
 public:
     explicit dsl_driver(scenario_spec spec);
     ~dsl_driver() override;
 
     std::string describe() const override;
-    run_context build() override;
-    telemetry::table report(telemetry::metrics_registry& reg) override;
+    run_context build() override { return inner_->build(); }
+    telemetry::table report(telemetry::metrics_registry& reg) override
+    {
+        return inner_->report(reg);
+    }
+    acceptance accept() override { return inner_->accept(); }
 
     const scenario_spec& spec() const { return spec_; }
-    /// The concrete driver executing the spec (valid after build()).
+    /// The concrete driver executing the spec (its testbed is valid
+    /// after build()).
     driver& inner() { return *inner_; }
-
-    /// Generic acceptance numbers, post-run: what was offered, what
-    /// arrived, and the failure counters the campaign invariants gate
-    /// on. Wholeness semantics follow the drill's own summary.
-    struct acceptance {
-        std::uint64_t expected{0};
-        std::uint64_t delivered{0};
-        std::uint64_t duplicates{0};
-        std::uint64_t given_up{0};
-        std::uint64_t outstanding_gaps{0};
-        bool whole{false};
-    };
-    acceptance accept();
-
-    /// The testbed's network, for structural invariants (per-link stats
-    /// reconciliation). Valid after build().
-    netsim::network& network();
 
 private:
     scenario_spec spec_;

@@ -8,6 +8,21 @@ namespace {
 /// The drill's one stream: the ICEBERG experiment, slice 0.
 constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
+
+/// The drill's one metrics list: every layer reports into one place.
+void register_metrics(telemetry::metrics_registry& reg, overload_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.sim());
+    telemetry::register_link_metrics(reg, "wan", *tb.wan);
+    telemetry::register_priority_queue_metrics(reg, "wan", *tb.wan_queue);
+    telemetry::register_planner_metrics(reg, tb.planner, {"daq", "wan", "dtn-storage"});
+    telemetry::register_element_metrics(reg, "tofino", *tb.tofino);
+    telemetry::register_stack_metrics(reg, "src", *tb.src_stack);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_sender_metrics(reg, "src", *tb.tx);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "buf", *tb.buf_svc);
+}
 } // namespace
 
 std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
@@ -52,7 +67,7 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
 
     tb->wan = &tb->tofino->egress(tb->wan_port);
 
-    // --- observability: flight recorder sites + metrics registry ---
+    // --- observability: flight recorder sites ---
     if (cfg.trace) {
         tb->tracer = std::make_unique<trace::flight_recorder>(cfg.trace_capacity);
         tb->tracer_install = std::make_unique<trace::scoped_recorder>(*tb->tracer);
@@ -179,18 +194,6 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     };
     eng.schedule_at(cfg.first_message, [tbp = tb.get()] { tbp->pressure_poll(); });
 
-    // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, eng);
-    telemetry::register_link_metrics(tb->metrics, "wan", *tb->wan);
-    telemetry::register_priority_queue_metrics(tb->metrics, "wan", *tb->wan_queue);
-    telemetry::register_planner_metrics(tb->metrics, planner,
-                                        {"daq", "wan", "dtn-storage"});
-    telemetry::register_stack_metrics(tb->metrics, "src", *tb->src_stack);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_sender_metrics(tb->metrics, "src", *tb->tx);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "buf", *tb->buf_svc);
-
     // --- traffic and end-of-stream flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,
                               cfg.first_message, cfg.messages);
@@ -208,22 +211,8 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
             return;
         }
         tbp->flush_sent = true;
-        auto& st = tbp->tofino->state();
-        st.create_register("mode_seq", pnet::mode_transition_stage::seq_register_cells);
-        const auto cell = st.reg(
-            "mode_seq", pnet::mode_transition_stage::seq_cell_of(drill_stream));
-        wire::stream_flush_body body;
-        body.experiment = drill_stream;
-        body.epoch = static_cast<std::uint16_t>(cell >> 48);
-        body.next_sequence = cell & 0xffffffffffffull;
-        byte_writer w;
-        serialize(body, w);
-        for (int i = 0; i < 3; ++i) {
-            tbp->src_stack->send_control(tbp->rx_host->address(), drill_stream,
-                                         wire::control_type::stream_flush,
-                                         std::vector<std::uint8_t>(w.view().begin(),
-                                                                   w.view().end()));
-        }
+        send_switch_flush(*tbp->tofino, *tbp->src_stack, tbp->rx_host->address(),
+                          drill_stream);
     };
     const sim_time load_end{cfg.first_message.ns
                             + static_cast<std::int64_t>(cfg.messages)
@@ -246,7 +235,9 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     return tb;
 }
 
-overload_result summarize_overload(overload_testbed& tbr)
+namespace {
+/// Summarizes an already-run testbed.
+overload_result summarize(overload_testbed& tbr)
 {
     auto* tb = &tbr;
     overload_result r;
@@ -330,9 +321,10 @@ overload_result summarize_overload(overload_testbed& tbr)
     row("time_to_recover_ns",
         static_cast<std::uint64_t>(r.recovered ? r.time_to_recover.ns : 0));
     row("recovery_probes", r.probes);
-    r.csv = t.csv();
 
-    r.metrics_csv = tb->metrics.to_csv();
+    telemetry::metrics_registry reg;
+    register_metrics(reg, *tb);
+    r.metrics_csv = reg.to_csv();
 
     // Tell the first shed packet's story: its eviction at the WAN egress,
     // the NAK, and the recovered copy arriving from buf.
@@ -361,11 +353,52 @@ overload_result summarize_overload(overload_testbed& tbr)
     return r;
 }
 
+} // namespace
+
+// --- overload_driver -------------------------------------------------------
+
+std::string overload_driver::describe() const
+{
+    // Offered Gbps in tenths, integer-only (bits per ns == Gbps).
+    const std::uint64_t offered_dgbps = cfg_.message_interval.ns > 0
+        ? (80ull * cfg_.message_bytes)
+            / static_cast<std::uint64_t>(cfg_.message_interval.ns)
+        : 0;
+    return "overload drill: " + std::to_string(cfg_.messages) + " messages at "
+        + std::to_string(offered_dgbps / 10) + "."
+        + std::to_string(offered_dgbps % 10) + " Gbps offered over a "
+        + std::to_string(cfg_.wan_rate.bits_per_sec / 1000000000) + " Gbps WAN";
+}
+
+run_context overload_driver::build()
+{
+    tb_ = make_overload(cfg_);
+    return run_context(tb_->net);
+}
+
+const overload_result& overload_driver::result()
+{
+    if (!result_) result_ = summarize(*tb_);
+    return *result_;
+}
+
+telemetry::table overload_driver::report(telemetry::metrics_registry& reg)
+{
+    register_metrics(reg, *tb_);
+    return result().report;
+}
+
+driver::acceptance overload_driver::accept()
+{
+    const auto& r = result();
+    return stream_acceptance(r.messages_sent, r.rx.datagrams, *tb_->rx);
+}
+
 overload_result run_overload_drill(const overload_config& cfg)
 {
-    auto tb = make_overload(cfg);
-    tb->net.sim().run();
-    return summarize_overload(*tb);
+    overload_driver d(cfg);
+    d.run();
+    return d.result();
 }
 
 } // namespace mmtp::scenario

@@ -32,7 +32,7 @@
 // misses — late arrivals plus shed/dropped originals — stay bounded and
 // are the drill's headline number. Everything rides the simulation
 // engine, so two same-seed runs produce byte-identical telemetry
-// (overload_result::csv / metrics_csv), which is what test_overload
+// (overload_result::report / metrics_csv), which is what test_overload
 // asserts.
 #pragma once
 
@@ -44,12 +44,12 @@
 #include "netsim/network.hpp"
 #include "netsim/queue.hpp"
 #include "pnet/stages.hpp"
-#include "telemetry/metrics.hpp"
+#include "scenario/driver.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/report.hpp"
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace mmtp::scenario {
@@ -157,7 +157,6 @@ struct overload_testbed {
 
     std::unique_ptr<trace::flight_recorder> tracer;
     std::unique_ptr<trace::scoped_recorder> tracer_install;
-    telemetry::metrics_registry metrics;
 
     std::uint64_t messages_scheduled{0};
     bool flush_sent{false};
@@ -169,7 +168,7 @@ struct overload_testbed {
 /// Builds the drill topology, wires every overload-control loop, and
 /// scripts the traffic, the deferred admission, the pressure polling and
 /// the end-of-stream flush. Call net.sim().run() (or use
-/// run_overload_drill) to execute.
+/// overload_driver / run_overload_drill) to execute.
 std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg);
 
 struct overload_result {
@@ -208,10 +207,9 @@ struct overload_result {
     sim_duration time_to_recover{sim_duration::zero()};
     std::uint64_t probes{0};
 
-    /// Deterministic telemetry: integer-only table, its CSV bytes, and
-    /// the metrics registry snapshot (same-seed runs are byte-identical).
+    /// Deterministic telemetry: integer-only table and the metrics
+    /// registry snapshot (same-seed runs are byte-identical).
     telemetry::table report{"overload drill"};
-    std::string csv;
     std::string metrics_csv;
 
     /// Hop-by-hop story of the first deadline-shed packet's sequence:
@@ -221,8 +219,25 @@ struct overload_result {
     std::string hop_timeline;
 };
 
-/// Summarizes an already-run testbed (drivers separate build/run/report).
-overload_result summarize_overload(overload_testbed& tb);
+/// 2× sustained offered load with every overload-control layer engaged.
+class overload_driver : public driver {
+public:
+    explicit overload_driver(overload_config cfg = {}) : cfg_(cfg) {}
+
+    std::string describe() const override;
+    run_context build() override;
+    telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+
+    overload_testbed& testbed() { return *tb_; }
+    /// Summarized once after run(); report() fills it.
+    const overload_result& result();
+
+private:
+    overload_config cfg_;
+    std::unique_ptr<overload_testbed> tb_;
+    std::optional<overload_result> result_;
+};
 
 /// Builds, runs to completion, and summarizes one overload drill.
 overload_result run_overload_drill(const overload_config& cfg);

@@ -22,6 +22,7 @@
 #include "mmtp/sender.hpp"
 #include "netsim/network.hpp"
 #include "pnet/stages.hpp"
+#include "scenario/driver.hpp"
 
 #include <memory>
 
@@ -93,5 +94,31 @@ struct pilot_testbed {
 /// Builds and wires the whole pilot. The returned testbed owns
 /// everything; run experiments by driving `sensor_tx` and the engine.
 std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg);
+
+/// The §5.4 pilot: ICEBERG trigger records through the Fig. 4 testbed.
+class pilot_driver : public driver {
+public:
+    struct options {
+        pilot_config pilot{};
+        std::uint64_t records{1000};
+        std::uint32_t frames_per_record{10};
+    };
+    pilot_driver();
+    explicit pilot_driver(options opt);
+
+    std::string describe() const override;
+    run_context build() override;
+    telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+
+    pilot_testbed& testbed() { return *tb_; }
+    /// Records the ICEBERG source actually produced (valid after build()).
+    std::uint64_t records_driven() const { return records_driven_; }
+
+private:
+    options opt_;
+    std::unique_ptr<pilot_testbed> tb_;
+    std::uint64_t records_driven_{0};
+};
 
 } // namespace mmtp::scenario

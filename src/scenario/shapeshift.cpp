@@ -8,6 +8,20 @@ namespace {
 /// The drill's one stream: the ICEBERG experiment, slice 0.
 constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
+
+/// The drill's one metrics list.
+void register_metrics(telemetry::metrics_registry& reg, shapeshift_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.sim());
+    telemetry::register_link_metrics(reg, "wan", *tb.wan);
+    telemetry::register_policy_engine_metrics(reg, *tb.policy_ctl);
+    telemetry::register_element_metrics(reg, "tofino", *tb.tofino);
+    telemetry::register_stack_metrics(reg, "sensor", *tb.sensor_stack);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_sender_metrics(reg, "sensor", *tb.tx);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "dtn1", *tb.dtn1_svc);
+}
 } // namespace
 
 std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg)
@@ -126,17 +140,6 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     tb->faults->corruption_burst(*tb->wan, cfg.burst_at, cfg.burst_duration,
                                  cfg.burst_ber);
 
-    // --- metrics registry ---
-    telemetry::register_engine_metrics(tb->metrics, eng);
-    telemetry::register_link_metrics(tb->metrics, "wan", *tb->wan);
-    telemetry::register_policy_engine_metrics(tb->metrics, *tb->policy_ctl);
-    telemetry::register_element_metrics(tb->metrics, "tofino", *tb->tofino);
-    telemetry::register_stack_metrics(tb->metrics, "sensor", *tb->sensor_stack);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_sender_metrics(tb->metrics, "sensor", *tb->tx);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "dtn1", *tb->dtn1_svc);
-
     // --- traffic and end-of-window flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,
                               cfg.first_message, cfg.messages);
@@ -146,7 +149,9 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     return tb;
 }
 
-shapeshift_result summarize_shapeshift(shapeshift_testbed& tbr)
+namespace {
+/// Summarizes an already-run testbed.
+shapeshift_result summarize(shapeshift_testbed& tbr)
 {
     auto* tb = &tbr;
     shapeshift_result r;
@@ -198,9 +203,10 @@ shapeshift_result summarize_shapeshift(shapeshift_testbed& tbr)
     row("rx_last_epoch", r.rx_last_epoch);
     for (const auto& [epoch, count] : r.delivered_by_epoch)
         row("delivered_epoch_" + std::to_string(unsigned(epoch)), count);
-    r.csv = t.csv();
 
-    r.metrics_csv = tb->metrics.to_csv();
+    telemetry::metrics_registry reg;
+    register_metrics(reg, *tb);
+    r.metrics_csv = reg.to_csv();
 
     // The reconfiguration story, span by span.
     if (tb->tracer) {
@@ -219,11 +225,47 @@ shapeshift_result summarize_shapeshift(shapeshift_testbed& tbr)
     return r;
 }
 
+} // namespace
+
+// --- shapeshift_driver -----------------------------------------------------
+
+std::string shapeshift_driver::describe() const
+{
+    return "shapeshift drill: " + std::to_string(cfg_.messages) + " messages of "
+        + std::to_string(cfg_.message_bytes) + " B, WAN corruption burst at "
+        + std::to_string(cfg_.burst_at.ns / 1000000) + " ms answered by a runtime "
+        + "mode shift";
+}
+
+run_context shapeshift_driver::build()
+{
+    tb_ = make_shapeshift(cfg_);
+    return run_context(tb_->net);
+}
+
+const shapeshift_result& shapeshift_driver::result()
+{
+    if (!result_) result_ = summarize(*tb_);
+    return *result_;
+}
+
+telemetry::table shapeshift_driver::report(telemetry::metrics_registry& reg)
+{
+    register_metrics(reg, *tb_);
+    return result().report;
+}
+
+driver::acceptance shapeshift_driver::accept()
+{
+    const auto& r = result();
+    return stream_acceptance(r.messages_sent, r.delivered, *tb_->rx);
+}
+
 shapeshift_result run_shapeshift_drill(const shapeshift_config& cfg)
 {
-    auto tb = make_shapeshift(cfg);
-    tb->net.sim().run();
-    return summarize_shapeshift(*tb);
+    shapeshift_driver d(cfg);
+    d.run();
+    return d.result();
 }
 
 } // namespace mmtp::scenario

@@ -25,7 +25,7 @@
 //
 // Everything rides the simulation engine — faults, polls, reconfigs,
 // recovery — so two same-seed runs produce byte-identical telemetry
-// (shapeshift_result::csv / metrics_csv), which is what test_modes
+// (shapeshift_result::report / metrics_csv), which is what test_modes
 // asserts.
 #pragma once
 
@@ -37,11 +37,11 @@
 #include "netsim/fault.hpp"
 #include "netsim/network.hpp"
 #include "pnet/stages.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/report.hpp"
+#include "scenario/driver.hpp"
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace mmtp::scenario {
@@ -104,7 +104,6 @@ struct shapeshift_testbed {
 
     std::unique_ptr<trace::flight_recorder> tracer;
     std::unique_ptr<trace::scoped_recorder> tracer_install;
-    telemetry::metrics_registry metrics;
 
     std::uint64_t messages_scheduled{0};
     /// Deliveries at rx keyed by the policy epoch (cfg_id) they arrived
@@ -114,7 +113,8 @@ struct shapeshift_testbed {
 
 /// Builds the drill topology, wires the closed-loop engine to the WAN's
 /// loss counters, and scripts the traffic, the burst and the flush.
-/// Call net.sim().run() (or use run_shapeshift_drill) to execute.
+/// Call net.sim().run() (or use shapeshift_driver / run_shapeshift_drill)
+/// to execute.
 std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg);
 
 struct shapeshift_result {
@@ -137,10 +137,9 @@ struct shapeshift_result {
     std::uint8_t rx_last_epoch{0};
     std::map<std::uint8_t, std::uint64_t> delivered_by_epoch;
 
-    /// Deterministic telemetry: integer-only table, its CSV bytes, and
-    /// the metrics registry snapshot (same-seed runs are byte-identical).
+    /// Deterministic telemetry: integer-only table and the metrics
+    /// registry snapshot (same-seed runs are byte-identical).
     telemetry::table report{"shapeshift drill"};
-    std::string csv;
     std::string metrics_csv;
 
     /// The reconfiguration story as trace spans
@@ -148,8 +147,25 @@ struct shapeshift_result {
     std::string reconfig_timeline;
 };
 
-/// Summarizes an already-run testbed (drivers separate build/run/report).
-shapeshift_result summarize_shapeshift(shapeshift_testbed& tb);
+/// Mid-run WAN degradation answered by a runtime mode shift.
+class shapeshift_driver : public driver {
+public:
+    explicit shapeshift_driver(shapeshift_config cfg = {}) : cfg_(cfg) {}
+
+    std::string describe() const override;
+    run_context build() override;
+    telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+
+    shapeshift_testbed& testbed() { return *tb_; }
+    /// Summarized once after run(); report() fills it.
+    const shapeshift_result& result();
+
+private:
+    shapeshift_config cfg_;
+    std::unique_ptr<shapeshift_testbed> tb_;
+    std::optional<shapeshift_result> result_;
+};
 
 /// Builds, runs to completion, and summarizes one shape-shift drill.
 shapeshift_result run_shapeshift_drill(const shapeshift_config& cfg);

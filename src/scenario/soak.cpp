@@ -13,6 +13,28 @@ namespace {
 constexpr const char* slugs[soak_experiments] = {"cms", "dune", "ecce", "mu2e",
                                                  "rubin"};
 
+/// The drill's one metrics list: every layer reports into one place.
+void register_metrics(telemetry::metrics_registry& reg, soak_testbed& tb)
+{
+    telemetry::register_engine_metrics(reg, tb.net.sim());
+    telemetry::register_link_metrics(reg, "wan-primary", *tb.wan_primary);
+    telemetry::register_link_metrics(reg, "wan-backup", *tb.wan_backup);
+    telemetry::register_link_metrics(reg, "dtn2-feed", *tb.dtn2_feed);
+    telemetry::register_planner_metrics(reg, tb.planner,
+                                        {"daq", "wan-primary", "wan-backup"});
+    telemetry::register_health_metrics(reg, *tb.health);
+    telemetry::register_element_metrics(reg, "tofino", *tb.tofino);
+    telemetry::register_stack_metrics(reg, "dtn1", *tb.dtn1_stack);
+    telemetry::register_stack_metrics(reg, "rx", *tb.rx_stack);
+    telemetry::register_receiver_metrics(reg, "rx", *tb.rx);
+    telemetry::register_buffer_metrics(reg, "dtn1", *tb.dtn1_svc);
+    telemetry::register_buffer_metrics(reg, "dtn2", *tb.dtn2_svc);
+    for (std::size_t i = 0; i < soak_experiments; ++i) {
+        telemetry::register_policy_engine_metrics(reg, slugs[i], *tb.engines[i]);
+        telemetry::register_sender_metrics(reg, slugs[i], *tb.senders[i]);
+    }
+}
+
 /// One slice stream's emission chain: each event sends one message and
 /// schedules the next. A soak-scale run must NOT pre-schedule all of
 /// its messages (a million closures parked in the heap before t=0);
@@ -321,26 +343,6 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
             });
     }
 
-    // --- metrics registry: every layer reports into one place ---
-    telemetry::register_engine_metrics(tb->metrics, eng);
-    telemetry::register_link_metrics(tb->metrics, "wan-primary", *tb->wan_primary);
-    telemetry::register_link_metrics(tb->metrics, "wan-backup", *tb->wan_backup);
-    telemetry::register_link_metrics(tb->metrics, "dtn2-feed", *tb->dtn2_feed);
-    telemetry::register_planner_metrics(tb->metrics, planner,
-                                        {"daq", "wan-primary", "wan-backup"});
-    telemetry::register_health_metrics(tb->metrics, *tb->health);
-    telemetry::register_element_metrics(tb->metrics, "tofino", *tb->tofino);
-    telemetry::register_stack_metrics(tb->metrics, "dtn1", *tb->dtn1_stack);
-    telemetry::register_stack_metrics(tb->metrics, "rx", *tb->rx_stack);
-    telemetry::register_receiver_metrics(tb->metrics, "rx", *tb->rx);
-    telemetry::register_buffer_metrics(tb->metrics, "dtn1", *tb->dtn1_svc);
-    telemetry::register_buffer_metrics(tb->metrics, "dtn2", *tb->dtn2_svc);
-    for (std::size_t i = 0; i < soak_experiments; ++i) {
-        telemetry::register_policy_engine_metrics(tb->metrics, slugs[i],
-                                                  *tb->engines[i]);
-        telemetry::register_sender_metrics(tb->metrics, slugs[i], *tb->senders[i]);
-    }
-
     // --- traffic: experiments × slices emission chains ---
     // The mask and per-experiment overrides shape the mix; everything
     // else (trunks, engines, mode stages) stays five-wide regardless.
@@ -421,7 +423,9 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     return tb;
 }
 
-soak_result summarize_soak(soak_testbed& tbr)
+namespace {
+/// Summarizes an already-run testbed.
+soak_result summarize(soak_testbed& tbr)
 {
     auto* tb = &tbr;
     const auto& cfg = tb->cfg;
@@ -548,16 +552,55 @@ soak_result summarize_soak(soak_testbed& tbr)
         static_cast<std::uint64_t>(r.recovered_after_reroute
                                        ? r.time_to_recover.ns
                                        : 0));
-    r.csv = t.csv();
-    r.metrics_csv = tb->metrics.to_csv();
+
+    telemetry::metrics_registry reg;
+    register_metrics(reg, *tb);
+    r.metrics_csv = reg.to_csv();
     return r;
+}
+} // namespace
+
+// --- soak_driver -----------------------------------------------------------
+
+std::string soak_driver::describe() const
+{
+    const std::uint64_t total = static_cast<std::uint64_t>(soak_experiments)
+        * cfg_.slices_per_experiment * cfg_.messages_per_stream;
+    return "facility soak: 5 experiments x "
+        + std::to_string(cfg_.slices_per_experiment) + " slices x "
+        + std::to_string(cfg_.messages_per_stream) + " messages ("
+        + std::to_string(total) + " total) under a fault-and-overload storm";
+}
+
+run_context soak_driver::build()
+{
+    tb_ = make_soak(cfg_);
+    return run_context(tb_->net);
+}
+
+const soak_result& soak_driver::result()
+{
+    if (!result_) result_ = summarize(*tb_);
+    return *result_;
+}
+
+telemetry::table soak_driver::report(telemetry::metrics_registry& reg)
+{
+    register_metrics(reg, *tb_);
+    return result().report;
+}
+
+driver::acceptance soak_driver::accept()
+{
+    const auto& r = result();
+    return stream_acceptance(r.messages_sent, r.delivered, *tb_->rx);
 }
 
 soak_result run_soak_drill(const soak_config& cfg)
 {
-    auto tb = make_soak(cfg);
-    tb->net.sim().run();
-    return summarize_soak(*tb);
+    soak_driver d(cfg);
+    d.run();
+    return d.result();
 }
 
 } // namespace mmtp::scenario

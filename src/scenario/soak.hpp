@@ -41,7 +41,7 @@
 // loss is NAK-recovered from DTN1), all completed streams retired by
 // prune_idle, all pressure-suppression records pruned — and two
 // same-seed runs produce byte-identical telemetry even though every
-// hot-path table underneath is now hashed (soak_result::csv /
+// hot-path table underneath is now hashed (soak_result::report /
 // metrics_csv; test_soak asserts both).
 #pragma once
 
@@ -56,13 +56,13 @@
 #include "netsim/fault.hpp"
 #include "netsim/network.hpp"
 #include "pnet/stages.hpp"
-#include "telemetry/metrics.hpp"
+#include "scenario/driver.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/report.hpp"
 
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -242,8 +242,6 @@ struct soak_testbed {
     std::unique_ptr<netsim::fault_scheduler> faults;
     std::unique_ptr<telemetry::recovery_tracker> recovery;
 
-    telemetry::metrics_registry metrics;
-
     std::uint64_t messages_scheduled{0};
     std::uint64_t churn_requests{0};
     std::uint64_t churn_released{0};
@@ -254,7 +252,7 @@ struct soak_testbed {
 /// Builds the soak topology, wires the full control plane (planner +
 /// health + five policy engines + pressure gating), and scripts the
 /// traffic chains, the churn, the storm and the tail. Call
-/// net.sim().run() (or use run_soak_drill) to execute.
+/// net.sim().run() (or use soak_driver / run_soak_drill) to execute.
 std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg);
 
 struct soak_result {
@@ -293,12 +291,29 @@ struct soak_result {
     sim_duration time_to_recover{sim_duration::zero()};
 
     telemetry::table report{"soak drill"};
-    std::string csv;
     std::string metrics_csv;
 };
 
-/// Summarizes an already-run testbed (drivers separate build/run/report).
-soak_result summarize_soak(soak_testbed& tb);
+/// Facility-scale soak: five concurrent experiments over shared spans
+/// and DTNs under a fault-and-overload storm.
+class soak_driver : public driver {
+public:
+    explicit soak_driver(soak_config cfg = {}) : cfg_(cfg) {}
+
+    std::string describe() const override;
+    run_context build() override;
+    telemetry::table report(telemetry::metrics_registry& reg) override;
+    acceptance accept() override;
+
+    soak_testbed& testbed() { return *tb_; }
+    /// Summarized once after run(); report() fills it.
+    const soak_result& result();
+
+private:
+    soak_config cfg_;
+    std::unique_ptr<soak_testbed> tb_;
+    std::optional<soak_result> result_;
+};
 
 /// Builds, runs to completion, and summarizes one soak.
 soak_result run_soak_drill(const soak_config& cfg);

@@ -127,4 +127,48 @@ std::unique_ptr<today_testbed> make_today(const today_config& cfg)
     return tb;
 }
 
+// --- today_driver ----------------------------------------------------------
+
+today_driver::today_driver() : today_driver(options{}) {}
+today_driver::today_driver(options opt) : opt_(std::move(opt)) {}
+
+std::string today_driver::describe() const
+{
+    return "status-quo pipeline (Fig. 2): " + std::to_string(opt_.messages)
+        + " UDP messages of " + std::to_string(opt_.message_bytes)
+        + " B into the relay chain";
+}
+
+run_context today_driver::build()
+{
+    tb_ = make_today(opt_.today);
+    daq::steady_source source(wire::make_experiment_id(wire::experiments::dune, 0),
+                              opt_.message_bytes, opt_.message_interval,
+                              sim_time::zero(), opt_.messages);
+    bytes_scheduled_ = tb_->drive_sensor(source);
+    return run_context(tb_->net);
+}
+
+telemetry::table today_driver::report(telemetry::metrics_registry& reg)
+{
+    telemetry::register_engine_metrics(reg, tb_->net.sim());
+
+    telemetry::table t("status-quo pipeline");
+    t.set_columns({"metric", "value"});
+    t.add_row({"bytes_scheduled", telemetry::fmt_count(bytes_scheduled_)});
+    t.add_row({"dtn1_received_bytes", telemetry::fmt_count(tb_->dtn1_received_bytes)});
+    t.add_row(
+        {"dtn1_received_datagrams", telemetry::fmt_count(tb_->dtn1_received_datagrams)});
+    return t;
+}
+
+driver::acceptance today_driver::accept()
+{
+    acceptance a;
+    a.expected = bytes_scheduled_;
+    a.delivered = tb_->dtn1_received_bytes;
+    a.whole = a.delivered == a.expected;
+    return a;
+}
+
 } // namespace mmtp::scenario

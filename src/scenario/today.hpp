@@ -12,6 +12,7 @@
 #include "daq/message.hpp"
 #include "netsim/network.hpp"
 #include "pnet/element.hpp"
+#include "scenario/driver.hpp"
 #include "tcp/stack.hpp"
 #include "udp/udp.hpp"
 
@@ -89,5 +90,34 @@ struct today_testbed {
 };
 
 std::unique_ptr<today_testbed> make_today(const today_config& cfg);
+
+/// The status-quo pipeline of Fig. 2 (UDP ingest stage).
+class today_driver : public driver {
+public:
+    struct options {
+        today_config today{};
+        std::uint32_t message_bytes{5000};
+        std::uint64_t messages{200};
+        sim_duration message_interval{sim_duration{10000}}; // 10 us
+    };
+    today_driver();
+    explicit today_driver(options opt);
+
+    std::string describe() const override;
+    run_context build() override;
+    telemetry::table report(telemetry::metrics_registry& reg) override;
+    /// The pipeline has no sequencing: acceptance is byte accounting at
+    /// the first UDP hop (and scenarios of it are lossy).
+    acceptance accept() override;
+
+    today_testbed& testbed() { return *tb_; }
+    /// UDP payload bytes scheduled at the sensor (valid after build()).
+    std::uint64_t bytes_scheduled() const { return bytes_scheduled_; }
+
+private:
+    options opt_;
+    std::unique_ptr<today_testbed> tb_;
+    std::uint64_t bytes_scheduled_{0};
+};
 
 } // namespace mmtp::scenario

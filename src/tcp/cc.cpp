@@ -6,10 +6,13 @@ namespace mmtp::tcp {
 
 namespace {
 
+/// Window ceiling: high enough that no simulated path reaches it.
+constexpr std::uint64_t max_cwnd_bytes = 1ull << 40;
+
 class reno final : public congestion_control {
 public:
     explicit reno(cc_config cfg)
-        : cfg_(cfg), cwnd_(cfg.init_cwnd_bytes), ssthresh_(cfg.max_cwnd_bytes)
+        : cfg_(cfg), cwnd_(cfg.init_cwnd_bytes), ssthresh_(max_cwnd_bytes)
     {
     }
 
@@ -23,7 +26,7 @@ public:
             const std::uint64_t inc = (static_cast<std::uint64_t>(cfg_.mss) * cfg_.mss) / cwnd_;
             cwnd_ += inc > 0 ? inc : 1;
         }
-        if (cwnd_ > cfg_.max_cwnd_bytes) cwnd_ = cfg_.max_cwnd_bytes;
+        if (cwnd_ > max_cwnd_bytes) cwnd_ = max_cwnd_bytes;
     }
 
     void on_loss(sim_time) override
@@ -54,7 +57,7 @@ private:
 class cubic final : public congestion_control {
 public:
     explicit cubic(cc_config cfg)
-        : cfg_(cfg), cwnd_(cfg.init_cwnd_bytes), ssthresh_(cfg.max_cwnd_bytes)
+        : cfg_(cfg), cwnd_(cfg.init_cwnd_bytes), ssthresh_(max_cwnd_bytes)
     {
     }
 
@@ -74,7 +77,7 @@ public:
     {
         if (cwnd_ < ssthresh_) {
             cwnd_ += newly_acked;
-            if (cwnd_ > cfg_.max_cwnd_bytes) cwnd_ = cfg_.max_cwnd_bytes;
+            if (cwnd_ > max_cwnd_bytes) cwnd_ = max_cwnd_bytes;
             return;
         }
         if (epoch_start_.is_never()) {
@@ -100,7 +103,7 @@ public:
                 / (100 * (cwnd_ ? cwnd_ : 1));
             cwnd_ += inc; // TCP-friendly floor growth
         }
-        if (cwnd_ > cfg_.max_cwnd_bytes) cwnd_ = cfg_.max_cwnd_bytes;
+        if (cwnd_ > max_cwnd_bytes) cwnd_ = max_cwnd_bytes;
     }
 
     void on_loss(sim_time) override

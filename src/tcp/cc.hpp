@@ -34,7 +34,6 @@ public:
 struct cc_config {
     std::uint32_t mss{8960};
     std::uint64_t init_cwnd_bytes{10 * 8960};
-    std::uint64_t max_cwnd_bytes{1ull << 40};
 };
 
 std::unique_ptr<congestion_control> make_reno(cc_config cfg);

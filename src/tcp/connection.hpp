@@ -88,7 +88,6 @@ public:
     /// Cumulative in-order application bytes handed up so far.
     std::uint64_t delivered_bytes() const { return delivered_app_; }
     std::uint64_t acked_bytes() const { return stats_.bytes_acked; }
-    std::uint64_t cwnd_bytes() const { return cc_->cwnd(); }
 
     /// Cumulative in-order bytes available to the application.
     void set_on_delivered(std::function<void(std::uint64_t)> cb)

@@ -30,8 +30,6 @@ public:
     /// connections with `cfg`; `on_accept` runs before any data arrives.
     void listen(std::uint16_t port, tcp_config cfg, accept_cb on_accept);
 
-    std::size_t connection_count() const { return conns_.size(); }
-
 private:
     struct conn_key {
         std::uint16_t local_port;

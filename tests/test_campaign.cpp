@@ -7,7 +7,6 @@
 #include "common/crc32c.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/chaos.hpp"
-#include "scenario/registry.hpp"
 #include "telemetry/run_recorder.hpp"
 
 #include <gtest/gtest.h>
@@ -131,16 +130,15 @@ TEST(campaign_files, soak_scenario_matches_handwritten_driver)
 // produce byte-identical describe lines, report CSV and metrics CSV.
 TEST(campaign_determinism, every_driver_report_is_byte_identical_across_reruns)
 {
-    for (const auto& topo : registry::names()) {
+    for (const auto& topo : topology_names()) {
         scenario_spec spec;
         spec.topology = topo;
         if (topo == "pilot") spec.pilot.records = 800;
         if (topo == "soak") spec.soak = soak_smoke_config();
-        auto first = registry::make(spec);
-        auto second = registry::make(spec);
-        ASSERT_TRUE(first && second) << topo;
-        const auto a = run_and_capture(*first);
-        const auto b = run_and_capture(*second);
+        dsl_driver first(spec);
+        dsl_driver second(spec);
+        const auto a = run_and_capture(first);
+        const auto b = run_and_capture(second);
         EXPECT_EQ(a.describe, b.describe) << topo;
         EXPECT_EQ(a.report_csv, b.report_csv) << topo;
         EXPECT_EQ(a.metrics_csv, b.metrics_csv) << topo;
@@ -158,7 +156,8 @@ TEST(campaign_determinism, every_driver_report_is_byte_identical_across_reruns)
 // constants. The metrics pins were re-derived once since: the
 // serializer-free event left the classic link path, which moved only
 // the engine_events_total and engine_events{class=link_tx} rows of
-// each metrics CSV.
+// each metrics CSV. Each file's accept() tuple is pinned beside them,
+// number for number (today counts bytes, not messages).
 TEST(campaign_files, single_shard_telemetry_matches_pre_shard_pins)
 {
     struct pin {
@@ -167,14 +166,22 @@ TEST(campaign_files, single_shard_telemetry_matches_pre_shard_pins)
         std::size_t report_len;
         std::uint32_t metrics_crc;
         std::size_t metrics_len;
+        driver::acceptance accepted; // expected, delivered, duplicates,
+                                     // given_up, outstanding_gaps, whole
     };
     static constexpr pin pins[] = {
-        {"pilot", 0x0aef9e06u, 209u, 0x1871590au, 4622u},
-        {"today", 0xa501c960u, 93u, 0x1dab363cu, 349u},
-        {"chaos", 0x50ca8d47u, 755u, 0x0c0dc0c9u, 4866u},
-        {"overload", 0x04f8d3ffu, 846u, 0x369c0c87u, 4898u},
-        {"shapeshift", 0xfd8168a3u, 497u, 0x5412fb06u, 4225u},
-        {"soak", 0xfe7a9c40u, 1194u, 0xaf430957u, 11114u},
+        {"pilot", 0x0aef9e06u, 209u, 0x1871590au, 4622u,
+         {5000, 5000, 0, 0, 0, true}},
+        {"today", 0xa501c960u, 93u, 0x1dab363cu, 349u,
+         {1000000, 1000000, 0, 0, 0, true}},
+        {"chaos", 0x50ca8d47u, 755u, 0x0c0dc0c9u, 4866u,
+         {1000, 1000, 0, 0, 0, true}},
+        {"overload", 0x04f8d3ffu, 846u, 0x369c0c87u, 4898u,
+         {5000, 5000, 0, 0, 0, true}},
+        {"shapeshift", 0xfd8168a3u, 497u, 0x5412fb06u, 4225u,
+         {1500, 1500, 0, 0, 0, true}},
+        {"soak", 0xfe7a9c40u, 1194u, 0xaf430957u, 11114u,
+         {10000, 10000, 0, 0, 0, true}},
     };
     const auto crc_of = [](const std::string& s) {
         return crc32c({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
@@ -188,6 +195,13 @@ TEST(campaign_files, single_shard_telemetry_matches_pre_shard_pins)
         EXPECT_EQ(crc_of(cap.report_csv), p.report_crc) << p.stem;
         EXPECT_EQ(cap.metrics_csv.size(), p.metrics_len) << p.stem;
         EXPECT_EQ(crc_of(cap.metrics_csv), p.metrics_crc) << p.stem;
+        const auto a = d.accept();
+        EXPECT_EQ(a.expected, p.accepted.expected) << p.stem;
+        EXPECT_EQ(a.delivered, p.accepted.delivered) << p.stem;
+        EXPECT_EQ(a.duplicates, p.accepted.duplicates) << p.stem;
+        EXPECT_EQ(a.given_up, p.accepted.given_up) << p.stem;
+        EXPECT_EQ(a.outstanding_gaps, p.accepted.outstanding_gaps) << p.stem;
+        EXPECT_EQ(a.whole, p.accepted.whole) << p.stem;
     }
 }
 
@@ -345,14 +359,6 @@ TEST(campaign_diff, recordings_diverge_at_a_first_event_or_not_at_all)
     const auto ea = events_of(blob_a);
     const auto eb = events_of(blob_b);
     const auto ec = events_of(blob_c);
-#if !MMTP_TRACING
-    // The recordings still open and verify (above), but with the flight
-    // recorder compiled out they carry no wire events to diff. The
-    // campaign CI job's `chaos_replay --diff` step covers the diff in a
-    // tracing-on build.
-    EXPECT_TRUE(ea.empty() && eb.empty() && ec.empty());
-    GTEST_SKIP() << "tracing compiled out (-DMMTP_DISABLE_TRACING=ON): no wire events";
-#endif
     ASSERT_FALSE(ea.empty());
 
     auto same = [](const telemetry::replayed_event& x,

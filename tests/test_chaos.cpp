@@ -3,6 +3,7 @@
 // finite time-to-recover) and must be perfectly reproducible (two
 // same-seed runs emit byte-identical telemetry).
 #include "scenario/chaos.hpp"
+#include "telemetry/run_recorder.hpp"
 
 #include <gtest/gtest.h>
 
@@ -44,8 +45,8 @@ TEST(chaos_drill, same_seed_runs_emit_byte_identical_telemetry)
 {
     const auto a = run_chaos_drill(chaos_config{});
     const auto b = run_chaos_drill(chaos_config{});
-    ASSERT_FALSE(a.csv.empty());
-    EXPECT_EQ(a.csv, b.csv);
+    ASSERT_FALSE(a.report.csv().empty());
+    EXPECT_EQ(a.report.csv(), b.report.csv());
     EXPECT_EQ(a.time_to_recover.ns, b.time_to_recover.ns);
     EXPECT_EQ(a.rx.naks_sent, b.rx.naks_sent);
 }
@@ -93,8 +94,8 @@ TEST(chaos_drill, kill_and_revive_same_seed_byte_identical)
 {
     const auto a = run_chaos_drill(kill_revive_config());
     const auto b = run_chaos_drill(kill_revive_config());
-    ASSERT_FALSE(a.csv.empty());
-    EXPECT_EQ(a.csv, b.csv);
+    ASSERT_FALSE(a.report.csv().empty());
+    EXPECT_EQ(a.report.csv(), b.report.csv());
     ASSERT_FALSE(a.metrics_csv.empty());
     EXPECT_EQ(a.metrics_csv, b.metrics_csv);
     EXPECT_EQ(a.time_to_recover2.ns, b.time_to_recover2.ns);
@@ -116,7 +117,7 @@ TEST(chaos_drill, recording_replays_byte_identical_metrics)
     EXPECT_EQ(rep->scenario(), "chaos");
     EXPECT_EQ(rep->seed(), cfg.seed);
     EXPECT_EQ(rep->metrics_csv(), r.metrics_csv);
-    EXPECT_EQ(rep->report_csv(), r.csv);
+    EXPECT_EQ(rep->report_csv(), r.report.csv());
 
     const auto r2 = run_chaos_drill(cfg);
     EXPECT_EQ(r.recording, r2.recording);

@@ -342,7 +342,7 @@ TEST(shapeshift, same_seed_reruns_are_byte_identical)
     scenario::shapeshift_config cfg;
     const auto a = scenario::run_shapeshift_drill(cfg);
     const auto b = scenario::run_shapeshift_drill(cfg);
-    EXPECT_EQ(a.csv, b.csv);
+    EXPECT_EQ(a.report.csv(), b.report.csv());
     EXPECT_EQ(a.metrics_csv, b.metrics_csv);
     EXPECT_EQ(a.reconfig_timeline, b.reconfig_timeline);
 }

@@ -316,19 +316,6 @@ std::string link_timeline(const trace::flight_recorder& rec)
     return out;
 }
 
-/// With the recorder compiled out (-DMMTP_DISABLE_TRACING=ON) there is
-/// no timeline to compare; the arrival and counter checks beside each
-/// call still run.
-void expect_link_timeline(const trace::flight_recorder& rec, const std::string& expected)
-{
-#if MMTP_TRACING
-    EXPECT_EQ(link_timeline(rec), expected);
-#else
-    (void)rec;
-    (void)expected;
-#endif
-}
-
 /// One 10 Gbps link src -> sink: a 1250-byte packet serializes in 1 us.
 struct one_link {
     explicit one_link(sim_duration propagation, double drop_probability = 0.0)
@@ -382,8 +369,8 @@ TEST(link, send_at_the_horizon_queues_or_cuts_through_by_key_order)
         t.sim().schedule_at(sim_time{1000}, [&] { t.send(3); });
         t.send(1);
         t.sim().run();
-        expect_link_timeline(
-            rec, "0 enq 1; 0 deq 1; 1000 enq 2; 1000 enq 3; 1000 deq 2; 2000 deq 3");
+        EXPECT_EQ(link_timeline(rec),
+                  "0 enq 1; 0 deq 1; 1000 enq 2; 1000 enq 3; 1000 deq 2; 2000 deq 3");
         EXPECT_EQ(t.arrivals(), "1500 1; 2500 2; 3500 3");
         EXPECT_EQ(t.events(task_class::link_tx), 2u); // kicks at 1000 and 2000
         EXPECT_EQ(t.egress().queue_statistics().peak_bytes, 2500u);
@@ -400,8 +387,8 @@ TEST(link, send_at_the_horizon_queues_or_cuts_through_by_key_order)
             t.send(3);
         });
         t.sim().run();
-        expect_link_timeline(
-            rec, "0 enq 1; 0 deq 1; 1000 enq 2; 1000 deq 2; 1000 enq 3; 2000 deq 3");
+        EXPECT_EQ(link_timeline(rec),
+                  "0 enq 1; 0 deq 1; 1000 enq 2; 1000 deq 2; 1000 enq 3; 2000 deq 3");
         EXPECT_EQ(t.arrivals(), "1500 1; 2500 2; 3500 3");
         EXPECT_EQ(t.events(task_class::link_tx), 1u); // the kick at 2000
         EXPECT_EQ(t.egress().queue_statistics().peak_bytes, 1250u);
@@ -439,7 +426,7 @@ TEST(link, sends_from_outside_dispatch_see_where_the_engine_stopped)
         t.send(2);
         EXPECT_EQ(t.egress().queue_depth_packets(), p.queued);
         t.sim().run();
-        expect_link_timeline(rec, p.trace);
+        EXPECT_EQ(link_timeline(rec), p.trace);
         EXPECT_EQ(t.arrivals(), p.arrivals);
         EXPECT_EQ(t.events(task_class::link_tx), p.kicks);
     }
@@ -456,7 +443,7 @@ TEST(link, sends_from_outside_dispatch_see_where_the_engine_stopped)
         t.send(2);
         EXPECT_EQ(t.egress().queue_depth_packets(), 1u);
         t.sim().run();
-        expect_link_timeline(rec, "0 enq 1; 0 deq 1; 1000 enq 2; 1000 deq 2");
+        EXPECT_EQ(link_timeline(rec), "0 enq 1; 0 deq 1; 1000 enq 2; 1000 deq 2");
         EXPECT_EQ(t.arrivals(), "1500 1; 2500 2");
         EXPECT_EQ(t.events(task_class::link_tx), 1u);
     }
@@ -472,7 +459,7 @@ TEST(link, sends_from_outside_dispatch_see_where_the_engine_stopped)
         t.send(2);
         EXPECT_EQ(t.egress().queue_depth_packets(), 0u);
         t.sim().run();
-        expect_link_timeline(rec, "0 enq 1; 0 deq 1; 1000 enq 2; 1000 deq 2");
+        EXPECT_EQ(link_timeline(rec), "0 enq 1; 0 deq 1; 1000 enq 2; 1000 deq 2");
         EXPECT_EQ(t.arrivals(), "1000 1; 2000 2");
         EXPECT_EQ(t.events(task_class::link_tx), 0u);
     }
@@ -492,7 +479,7 @@ TEST(link, sends_from_outside_dispatch_see_where_the_engine_stopped)
         EXPECT_EQ(t.egress().queue_depth_packets(), 1u);
         t.sim().run();
         EXPECT_EQ(t.sim().now().ns, 1000);
-        expect_link_timeline(rec, "0 enq 1; 0 deq 1; 0 enq 2; 1000 deq 2");
+        EXPECT_EQ(link_timeline(rec), "0 enq 1; 0 deq 1; 0 enq 2; 1000 deq 2");
         EXPECT_EQ(t.arrivals(), "");
         EXPECT_EQ(t.egress().stats().dropped_random, 2u);
     }
@@ -535,7 +522,7 @@ TEST(link, down_and_up_while_packets_wait_behind_the_horizon)
         t.send(2);
         t.send(3);
         t.sim().run();
-        expect_link_timeline(rec, f.trace);
+        EXPECT_EQ(link_timeline(rec), f.trace);
         EXPECT_EQ(t.arrivals(), f.arrivals);
         EXPECT_EQ(t.events(task_class::link_tx), 2u);
         EXPECT_EQ(l.stats().tx_packets, 3u);

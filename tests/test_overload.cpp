@@ -290,8 +290,8 @@ TEST(overload_drill, same_seed_runs_emit_byte_identical_telemetry)
 {
     const auto a = scenario::run_overload_drill(scenario::overload_config{});
     const auto b = scenario::run_overload_drill(scenario::overload_config{});
-    ASSERT_FALSE(a.csv.empty());
-    EXPECT_EQ(a.csv, b.csv);
+    ASSERT_FALSE(a.report.csv().empty());
+    EXPECT_EQ(a.report.csv(), b.report.csv());
     ASSERT_FALSE(a.metrics_csv.empty());
     EXPECT_EQ(a.metrics_csv, b.metrics_csv);
     // The traced shed→NAK→recovery story replays byte for byte too.

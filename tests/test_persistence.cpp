@@ -657,8 +657,7 @@ TEST(run_record, metrics_and_report_round_trip_byte_identical)
 
 // The wire-event ring and its interned site table round-trip through the
 // archive: replayed events match what was emitted, and a rebuilt flight
-// recorder renders the identical timeline. (Events are emitted directly
-// on the recorder object, so this holds even when MMTP_TRACING is 0.)
+// recorder renders the identical timeline.
 TEST(run_record, wire_events_and_sites_round_trip)
 {
     trace::flight_recorder fr(64);

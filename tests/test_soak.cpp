@@ -86,7 +86,7 @@ TEST(soak_drill, smoke_run_is_whole_and_deterministic)
 
     // Same seed, same bytes — the determinism contract of DESIGN.md §14.
     const auto rerun = scenario::run_soak_drill(cfg);
-    EXPECT_EQ(r.csv, rerun.csv);
+    EXPECT_EQ(r.report.csv(), rerun.report.csv());
     EXPECT_EQ(r.metrics_csv, rerun.metrics_csv);
 }
 
