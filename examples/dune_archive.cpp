@@ -39,7 +39,7 @@ int main()
         rec.timestamp_ns = d.hdr.timestamp_ns.value_or(0);
         rec.size_bytes = static_cast<std::uint32_t>(d.total_payload_bytes);
         rec.payload = d.payload;
-        writer.append(d.hdr.experiment, std::move(rec));
+        writer.append(d.hdr.experiment, rec);
         archived++;
     });
 

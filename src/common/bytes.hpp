@@ -74,6 +74,8 @@ public:
     std::uint64_t u48() noexcept { return take<6>(); }
     std::uint64_t u64() noexcept { return take<8>(); }
     void skip(std::size_t n) noexcept { p_ += n; }
+    /// Where the next load reads (for spans of variable-length fields).
+    const std::uint8_t* at() const noexcept { return p_; }
 
 private:
     template <unsigned N>

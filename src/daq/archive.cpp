@@ -2,6 +2,8 @@
 
 #include "common/crc32c.hpp"
 
+#include <algorithm>
+
 namespace mmtp::daq {
 
 namespace {
@@ -30,6 +32,14 @@ void write_attributes(byte_writer& w, const std::map<std::string, std::string>& 
     }
 }
 
+/// Bytes write_attributes() emits for `attrs`.
+std::size_t attributes_bytes(const std::map<std::string, std::string>& attrs)
+{
+    std::size_t n = 2;
+    for (const auto& [k, v] : attrs) n += 2 + k.size() + 2 + v.size();
+    return n;
+}
+
 std::optional<std::map<std::string, std::string>> read_attributes(byte_reader& r)
 {
     std::map<std::string, std::string> out;
@@ -43,6 +53,16 @@ std::optional<std::map<std::string, std::string>> read_attributes(byte_reader& r
     }
     return out;
 }
+
+archived_record to_record(const record_view& v)
+{
+    return {v.sequence, v.timestamp_ns, v.size_bytes, {v.payload.begin(), v.payload.end()}};
+}
+
+/// Superblock: magic, version, index offset.
+constexpr std::size_t superblock_bytes = 8 + 2 + 8;
+/// One chunk's index entry: offset, length, records.
+constexpr std::size_t chunk_index_bytes = 8 + 8 + 4;
 
 } // namespace
 
@@ -62,9 +82,13 @@ void archive_writer::set_dataset_attribute(wire::experiment_id experiment,
     datasets_[experiment].attributes[key] = value;
 }
 
-bool archive_writer::append(wire::experiment_id experiment, archived_record r)
+bool archive_writer::append(wire::experiment_id experiment, std::uint64_t sequence,
+                            std::uint64_t timestamp_ns, std::uint32_t size_bytes,
+                            std::span<const std::uint8_t> prefix,
+                            std::span<const std::uint8_t> body)
 {
-    if (limits_.max_record_bytes != 0 && r.payload.size() > limits_.max_record_bytes) {
+    const std::size_t payload = prefix.size() + body.size();
+    if (limits_.max_record_bytes != 0 && payload > limits_.max_record_bytes) {
         stats_.rejected_oversize++;
         return false;
     }
@@ -83,11 +107,24 @@ bool archive_writer::append(wire::experiment_id experiment, archived_record r)
         stats_.rejected_chunk_cap++;
         return false;
     }
-    ds.open_chunk.push_back(std::move(r));
+    // the open chunk's header comes with its first record
+    const std::size_t header = ds.open_records == 0 ? chunk_header_bytes : 0;
+    const std::size_t at = ds.bytes.size();
+    ds.bytes.resize(at + header + record_header_bytes + payload);
+    std::uint8_t* p = ds.bytes.data() + at + header;
+    write_cursor w(p);
+    w.u64(sequence);
+    w.u64(timestamp_ns);
+    w.u32(size_bytes);
+    w.u32(static_cast<std::uint32_t>(payload));
+    p = std::copy(prefix.begin(), prefix.end(), p + record_header_bytes);
+    std::copy(body.begin(), body.end(), p);
+
+    ds.open_records++;
     ds.record_count++;
     records_++;
     stats_.appended++;
-    if (ds.open_chunk.size() >= limits_.chunk_records) seal_chunk(ds);
+    if (ds.open_records >= limits_.chunk_records) seal_chunk(ds);
     return true;
 }
 
@@ -100,10 +137,11 @@ std::uint64_t archive_writer::discard_open_chunks()
 {
     std::uint64_t dropped = 0;
     for (auto& [id, ds] : datasets_) {
-        dropped += ds.open_chunk.size();
-        ds.record_count -= ds.open_chunk.size();
-        records_ -= ds.open_chunk.size();
-        ds.open_chunk.clear();
+        dropped += ds.open_records;
+        ds.record_count -= ds.open_records;
+        records_ -= ds.open_records;
+        ds.open_records = 0;
+        ds.bytes.resize(ds.sealed_bytes());
     }
     return dropped;
 }
@@ -112,85 +150,66 @@ std::uint64_t archive_writer::sealed_records() const
 {
     std::uint64_t n = 0;
     for (const auto& [id, ds] : datasets_)
-        for (const auto c : ds.chunk_counts) n += c;
+        for (const auto& c : ds.chunks) n += c.records;
     return n;
 }
 
 std::uint64_t archive_writer::open_records() const
 {
     std::uint64_t n = 0;
-    for (const auto& [id, ds] : datasets_) n += ds.open_chunk.size();
+    for (const auto& [id, ds] : datasets_) n += ds.open_records;
     return n;
 }
 
 void archive_writer::seal_chunk(dataset& ds)
 {
-    if (ds.open_chunk.empty()) return;
-    byte_writer w;
-    w.u32(static_cast<std::uint32_t>(ds.open_chunk.size()));
-    for (const auto& rec : ds.open_chunk) {
-        w.u64(rec.sequence);
-        w.u64(rec.timestamp_ns);
-        w.u32(rec.size_bytes);
-        w.u32(static_cast<std::uint32_t>(rec.payload.size()));
-        w.bytes(rec.payload);
-    }
-    const auto body = w.take();
-    const auto crc = crc32c(body);
-
-    const std::uint64_t offset = ds.sealed_chunks.size();
-    byte_writer chunk;
-    chunk.u32(crc);
-    chunk.bytes(body);
-    const auto bytes = chunk.take();
-    ds.sealed_chunks.insert(ds.sealed_chunks.end(), bytes.begin(), bytes.end());
-    ds.chunk_spans.push_back({offset, bytes.size()});
-    ds.chunk_counts.push_back(static_cast<std::uint32_t>(ds.open_chunk.size()));
-    ds.open_chunk.clear();
+    if (ds.open_records == 0) return;
+    const std::size_t offset = ds.sealed_bytes();
+    const std::size_t length = ds.bytes.size() - offset;
+    std::uint8_t* chunk = ds.bytes.data() + offset;
+    write_cursor(chunk + 4).u32(ds.open_records);
+    write_cursor(chunk).u32(crc32c({chunk + 4, length - 4}));
+    ds.chunks.push_back({offset, length, ds.open_records});
+    ds.open_records = 0;
     stats_.chunks_sealed++;
 }
 
 std::vector<std::uint8_t> archive_writer::finalize()
 {
-    for (auto& [id, ds] : datasets_) seal_chunk(ds);
+    seal_open_chunks();
 
-    byte_writer w;
-    // superblock: magic, version, placeholder for index offset
+    std::size_t chunk_bytes = 0;
+    std::size_t index_bytes = attributes_bytes(attributes_) + 4;
+    for (const auto& [id, ds] : datasets_) {
+        chunk_bytes += ds.bytes.size();
+        index_bytes += 4 + 8 + attributes_bytes(ds.attributes) + 4
+            + ds.chunks.size() * chunk_index_bytes;
+    }
+    byte_writer w(superblock_bytes + chunk_bytes + index_bytes);
     w.u64(archive_magic);
     w.u16(archive_version);
-    const std::size_t index_offset_pos = w.size();
-    w.u64(0); // patched below (we patch via rebuild: byte_writer lacks u64 patch)
+    w.u64(superblock_bytes + chunk_bytes); // the index follows the chunks
 
-    // dataset chunk payloads, recording absolute offsets
-    std::map<wire::experiment_id, std::uint64_t> base_offsets;
-    for (auto& [id, ds] : datasets_) {
-        base_offsets[id] = w.size();
-        w.bytes(ds.sealed_chunks);
-    }
+    for (const auto& [id, ds] : datasets_) w.bytes(ds.bytes);
 
-    const std::uint64_t index_offset = w.size();
-    // index: file attributes, then datasets
+    // index: file attributes, then datasets with absolute chunk offsets
     write_attributes(w, attributes_);
     w.u32(static_cast<std::uint32_t>(datasets_.size()));
-    for (auto& [id, ds] : datasets_) {
+    std::uint64_t base = superblock_bytes;
+    for (const auto& [id, ds] : datasets_) {
         w.u32(id);
         w.u64(ds.record_count);
         write_attributes(w, ds.attributes);
-        w.u32(static_cast<std::uint32_t>(ds.chunk_spans.size()));
-        for (std::size_t i = 0; i < ds.chunk_spans.size(); ++i) {
-            w.u64(base_offsets[id] + ds.chunk_spans[i].first);
-            w.u64(ds.chunk_spans[i].second);
-            w.u32(ds.chunk_counts[i]);
+        w.u32(static_cast<std::uint32_t>(ds.chunks.size()));
+        for (const auto& c : ds.chunks) {
+            w.u64(base + c.offset);
+            w.u64(c.length);
+            w.u32(c.records);
         }
+        base += ds.bytes.size();
     }
-
-    auto blob = w.take();
-    // patch the index offset (big-endian u64 at index_offset_pos)
-    for (int i = 0; i < 8; ++i)
-        blob[index_offset_pos + i] =
-            static_cast<std::uint8_t>(index_offset >> (8 * (7 - i)));
     datasets_.clear();
-    return blob;
+    return w.take();
 }
 
 // ----------------------------------------------------------- reader
@@ -223,6 +242,7 @@ std::optional<archive_reader> archive_reader::open(std::vector<std::uint8_t> blo
         view.attributes = std::move(*ds_attrs);
         const auto n_chunks = idx.u32();
         if (idx.failed()) return std::nullopt; // huge n_chunks from garbage
+        view.chunks.reserve(std::min<std::size_t>(n_chunks, idx.remaining() / chunk_index_bytes));
         std::uint64_t indexed = 0;
         for (std::uint32_t c = 0; c < n_chunks; ++c) {
             chunk_ref ref;
@@ -234,7 +254,7 @@ std::optional<archive_reader> archive_reader::open(std::vector<std::uint8_t> blo
             if (ref.length > out.blob_.size()
                 || ref.offset > out.blob_.size() - ref.length)
                 return std::nullopt;
-            if (ref.length < 8) return std::nullopt; // crc + record count minimum
+            if (ref.length < chunk_header_bytes) return std::nullopt;
             indexed += ref.records;
             view.chunks.push_back(ref);
         }
@@ -267,56 +287,48 @@ std::vector<wire::experiment_id> archive_reader::dataset_ids() const
 
 std::uint64_t archive_reader::record_count(wire::experiment_id experiment) const
 {
-    auto it = datasets_.find(experiment);
-    return it == datasets_.end() ? 0 : it->second.record_count;
+    const auto* view = find(experiment);
+    return view == nullptr ? 0 : view->record_count;
 }
 
-std::vector<archived_record> archive_reader::parse_chunk(const chunk_ref& c) const
+const archive_reader::dataset_view* archive_reader::find(wire::experiment_id experiment) const
 {
-    std::vector<archived_record> out;
-    byte_reader r(std::span<const std::uint8_t>(blob_).subspan(c.offset, c.length));
-    r.skip(4); // crc, validated at open()
-    const auto n = r.u32();
-    if (r.failed() || n != c.records) return {}; // body disagrees with index
-    for (std::uint32_t i = 0; i < n; ++i) {
-        archived_record rec;
-        rec.sequence = r.u64();
-        rec.timestamp_ns = r.u64();
-        rec.size_bytes = r.u32();
-        const auto payload_len = r.u32();
-        const auto payload = r.bytes(payload_len);
-        rec.payload.assign(payload.begin(), payload.end());
-        if (r.failed()) return {};
-        out.push_back(std::move(rec));
+    auto it = datasets_.find(experiment);
+    return it == datasets_.end() ? nullptr : &it->second;
+}
+
+bool archive_reader::agrees_with_index(const chunk_ref& c) const
+{
+    byte_reader r(std::span<const std::uint8_t>(blob_).subspan(c.offset + 4, c.length - 4));
+    if (r.u32() != c.records) return false;
+    for (std::uint32_t i = 0; i < c.records && !r.failed(); ++i) {
+        r.skip(record_header_bytes - 4);
+        r.skip(r.u32());
     }
-    return out;
+    return !r.failed() && r.remaining() == 0;
 }
 
 std::vector<archived_record> archive_reader::read_all(wire::experiment_id experiment) const
 {
     std::vector<archived_record> out;
-    auto it = datasets_.find(experiment);
-    if (it == datasets_.end()) return out;
-    for (const auto& c : it->second.chunks) {
-        auto records = parse_chunk(c);
-        out.insert(out.end(), std::make_move_iterator(records.begin()),
-                   std::make_move_iterator(records.end()));
-    }
+    visit(experiment, [&](const record_view& v) { out.push_back(to_record(v)); });
     return out;
 }
 
 std::optional<archived_record> archive_reader::read_at(wire::experiment_id experiment,
                                                        std::uint64_t index) const
 {
-    auto it = datasets_.find(experiment);
-    if (it == datasets_.end()) return std::nullopt;
+    const auto* view = find(experiment);
+    if (view == nullptr) return std::nullopt;
     std::uint64_t base = 0;
-    for (const auto& c : it->second.chunks) {
+    for (const auto& c : view->chunks) {
         if (index < base + c.records) {
-            auto records = parse_chunk(c);
-            const auto within = index - base;
-            if (within >= records.size()) return std::nullopt;
-            return records[within];
+            std::optional<archived_record> out;
+            auto at = base;
+            walk(c, [&](const record_view& v) {
+                if (at++ == index) out = to_record(v);
+            });
+            return out;
         }
         base += c.records;
     }
@@ -333,11 +345,11 @@ std::optional<std::string> archive_reader::attribute(const std::string& key) con
 std::optional<std::string> archive_reader::dataset_attribute(
     wire::experiment_id experiment, const std::string& key) const
 {
-    auto it = datasets_.find(experiment);
-    if (it == datasets_.end()) return std::nullopt;
-    auto kit = it->second.attributes.find(key);
-    if (kit == it->second.attributes.end()) return std::nullopt;
-    return kit->second;
+    const auto* view = find(experiment);
+    if (view == nullptr) return std::nullopt;
+    auto it = view->attributes.find(key);
+    if (it == view->attributes.end()) return std::nullopt;
+    return it->second;
 }
 
 } // namespace mmtp::daq

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,15 @@ struct archived_record {
     std::vector<std::uint8_t> payload;
 
     bool operator==(const archived_record&) const = default;
+};
+
+/// A record read in place: `payload` points into the reader's blob and
+/// stays valid as long as the reader does.
+struct record_view {
+    std::uint64_t sequence{0};
+    std::uint64_t timestamp_ns{0};
+    std::uint32_t size_bytes{0};
+    std::span<const std::uint8_t> payload;
 };
 
 struct archive_limits {
@@ -63,7 +73,24 @@ struct archive_writer_stats {
     std::uint64_t chunks_sealed{0};
 };
 
-/// Serializes datasets of archived_records into a single byte blob.
+/// Where one sealed chunk sits in its dataset's bytes (the writer) or in
+/// the blob (the reader), and how many records it holds: one index entry.
+struct chunk_ref {
+    std::uint64_t offset{0};
+    std::uint64_t length{0};
+    std::uint32_t records{0};
+};
+
+/// Chunk layout: CRC-32C (over the rest of the chunk), record count,
+/// then the records back to back. Record layout: sequence, timestamp,
+/// size_bytes, payload length, payload. All integers are big-endian.
+constexpr std::size_t chunk_header_bytes = 4 + 4;
+constexpr std::size_t record_header_bytes = 8 + 8 + 4 + 4;
+
+/// Serializes datasets of records into a single byte blob. Each record is
+/// encoded straight into its dataset's open chunk: the bytes after its
+/// sealed chunks. Sealing patches the chunk's record count and CRC in
+/// place.
 class archive_writer {
 public:
     explicit archive_writer(archive_limits limits = {});
@@ -71,10 +98,18 @@ public:
     /// File-level attribute (e.g. "facility" -> "dune-far-site").
     void set_attribute(const std::string& key, const std::string& value);
 
-    /// Appends a record to the dataset of `experiment` (created lazily).
-    /// Returns false — and counts the rejection — when an archive_limits
-    /// cap refuses it; the writer stays usable either way.
-    bool append(wire::experiment_id experiment, archived_record r);
+    /// Appends a record whose payload is `prefix` followed by `body` to
+    /// the dataset of `experiment` (created lazily). Returns false — and
+    /// counts the rejection — when an archive_limits cap refuses it; the
+    /// writer stays usable either way.
+    bool append(wire::experiment_id experiment, std::uint64_t sequence,
+                std::uint64_t timestamp_ns, std::uint32_t size_bytes,
+                std::span<const std::uint8_t> prefix, std::span<const std::uint8_t> body);
+
+    bool append(wire::experiment_id experiment, const archived_record& r)
+    {
+        return append(experiment, r.sequence, r.timestamp_ns, r.size_bytes, {}, r.payload);
+    }
 
     /// Seals every open chunk now (the durability point a crash cannot
     /// take back), without finalizing. Chunks sealed early may hold
@@ -103,12 +138,18 @@ public:
 
 private:
     struct dataset {
-        std::vector<std::uint8_t> sealed_chunks; // serialized, checksummed
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> chunk_spans; // offset,len
-        std::vector<std::uint32_t> chunk_counts;
-        std::vector<archived_record> open_chunk;
+        /// The sealed chunks back to back, then the open chunk: its
+        /// header (zeros until sealed) and records, once it has any.
+        std::vector<std::uint8_t> bytes;
+        std::vector<chunk_ref> chunks; // sealed; offsets into `bytes`
+        std::uint32_t open_records{0};
         std::map<std::string, std::string> attributes;
         std::uint64_t record_count{0};
+
+        std::size_t sealed_bytes() const
+        {
+            return chunks.empty() ? 0 : chunks.back().offset + chunks.back().length;
+        }
     };
 
     void seal_chunk(dataset& ds);
@@ -121,7 +162,7 @@ private:
 };
 
 /// Parses a blob produced by archive_writer; validates magic, version and
-/// every chunk checksum up front.
+/// every chunk checksum up front. Records are read in place.
 class archive_reader {
 public:
     /// Returns std::nullopt on malformed input or checksum mismatch.
@@ -129,6 +170,17 @@ public:
 
     std::vector<wire::experiment_id> dataset_ids() const;
     std::uint64_t record_count(wire::experiment_id experiment) const;
+
+    /// Calls fn(const record_view&) for every record of a dataset, in
+    /// append order. A chunk whose body disagrees with its index entry
+    /// (another record count, or payloads that do not fill it exactly)
+    /// yields no records at all.
+    template <typename Fn>
+    void visit(wire::experiment_id experiment, Fn&& fn) const
+    {
+        if (const auto* view = find(experiment))
+            for (const auto& c : view->chunks) walk(c, fn);
+    }
 
     /// All records of a dataset, in append order.
     std::vector<archived_record> read_all(wire::experiment_id experiment) const;
@@ -146,18 +198,35 @@ public:
 private:
     archive_reader() = default;
 
-    struct chunk_ref {
-        std::uint64_t offset;
-        std::uint64_t length;
-        std::uint32_t records;
-    };
     struct dataset_view {
         std::vector<chunk_ref> chunks;
         std::map<std::string, std::string> attributes;
         std::uint64_t record_count{0};
     };
 
-    std::vector<archived_record> parse_chunk(const chunk_ref& c) const;
+    const dataset_view* find(wire::experiment_id experiment) const;
+
+    /// Whether chunk `c`'s body agrees with its index entry: the same
+    /// record count, and records that fill the chunk exactly.
+    bool agrees_with_index(const chunk_ref& c) const;
+
+    /// The one chunk walk: yields each record of `c` if it agrees.
+    template <typename Fn>
+    void walk(const chunk_ref& c, Fn&& fn) const
+    {
+        if (!agrees_with_index(c)) return;
+        read_cursor r(blob_.data() + c.offset + chunk_header_bytes);
+        for (std::uint32_t i = 0; i < c.records; ++i) {
+            record_view v;
+            v.sequence = r.u64();
+            v.timestamp_ns = r.u64();
+            v.size_bytes = r.u32();
+            const auto len = r.u32();
+            v.payload = {r.at(), len};
+            r.skip(len);
+            fn(v);
+        }
+    }
 
     std::vector<std::uint8_t> blob_;
     std::map<wire::experiment_id, dataset_view> datasets_;

@@ -1,5 +1,6 @@
 #include "dtn/durable_store.hpp"
 
+#include <array>
 #include <cstdlib>
 #include <string>
 
@@ -9,15 +10,15 @@ namespace {
 
 constexpr const char* journal_prefix = "seq.";
 
-std::vector<std::uint8_t> encode_payload(const buffered_datagram& d)
-{
-    byte_writer w(2 + d.inline_payload.size());
-    w.u16(d.epoch);
-    w.bytes(d.inline_payload);
-    return w.take();
-}
+/// Bytes of the epoch prefix in front of each record's inline payload.
+constexpr std::size_t epoch_bytes = 2;
 
 } // namespace
+
+durable_store::durable_store(daq::archive_limits limits, std::vector<std::uint8_t> image)
+    : limits_(limits), writer_(limits), image_(std::move(image)), crashed_(true)
+{
+}
 
 bool durable_store::append(const buffered_datagram& d)
 {
@@ -35,12 +36,10 @@ bool durable_store::append(const buffered_datagram& d)
 
 bool durable_store::append_impl(const buffered_datagram& d)
 {
-    daq::archived_record rec;
-    rec.sequence = d.sequence;
-    rec.timestamp_ns = d.timestamp_ns;
-    rec.size_bytes = d.size_bytes;
-    rec.payload = encode_payload(d);
-    return writer_.append(d.experiment, std::move(rec));
+    std::array<std::uint8_t, epoch_bytes> epoch{};
+    write_cursor(epoch.data()).u16(d.epoch);
+    return writer_.append(d.experiment, d.sequence, d.timestamp_ns, d.size_bytes, epoch,
+                          d.inline_payload);
 }
 
 void durable_store::note_sequence(wire::experiment_id experiment, std::uint64_t next)
@@ -55,6 +54,11 @@ void durable_store::write_journal()
         auto& sealed = sealed_journal_[id];
         if (next > sealed) sealed = next;
     }
+    write_sealed_journal();
+}
+
+void durable_store::write_sealed_journal()
+{
     for (const auto& [id, next] : sealed_journal_)
         writer_.set_attribute(journal_prefix + std::to_string(id), std::to_string(next));
 }
@@ -74,8 +78,7 @@ std::uint64_t durable_store::crash()
     stats_.crashes++;
     // what was sealed — chunks and the last-sealed journal — is the disk
     // image the revived node comes back to
-    for (const auto& [id, next] : sealed_journal_)
-        writer_.set_attribute(journal_prefix + std::to_string(id), std::to_string(next));
+    write_sealed_journal();
     image_ = writer_.finalize();
     writer_ = daq::archive_writer(limits_);
     journal_.clear();
@@ -102,28 +105,25 @@ durable_store::recovery durable_store::recover()
         out.next_sequences[id] = std::strtoull(value.c_str(), nullptr, 10);
     }
 
+    // one walk over the image hands back each record and compacts it
+    // into the fresh writer, so a second crash still finds it on disk
     for (const auto id : reader->dataset_ids()) {
-        for (auto& rec : reader->read_all(id)) {
-            if (rec.payload.size() < 2) continue; // malformed: epoch prefix missing
-            byte_reader r(rec.payload);
+        reader->visit(id, [&](const daq::record_view& rec) {
+            if (rec.payload.size() < epoch_bytes) return; // malformed: no epoch prefix
             buffered_datagram d;
             d.sequence = rec.sequence;
-            d.epoch = r.u16();
+            d.epoch = read_cursor(rec.payload.data()).u16();
             d.experiment = id;
             d.timestamp_ns = rec.timestamp_ns;
             d.size_bytes = rec.size_bytes;
-            const auto body = r.bytes(rec.payload.size() - 2);
-            if (r.failed()) continue;
+            const auto body = rec.payload.subspan(epoch_bytes);
             d.inline_payload.assign(body.begin(), body.end());
             auto& next = out.next_sequences[id];
             if (d.sequence + 1 > next) next = d.sequence + 1;
+            append_impl(d);
             out.records.push_back(std::move(d));
-        }
+        });
     }
-
-    // recovery compaction: the surviving records seed the fresh writer so
-    // a second crash still finds them on disk
-    for (const auto& d : out.records) append_impl(d);
     for (const auto& [id, next] : out.next_sequences) note_sequence(id, next);
     seal();
 

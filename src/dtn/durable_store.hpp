@@ -36,6 +36,11 @@ class durable_store {
 public:
     explicit durable_store(daq::archive_limits limits = {}) : limits_(limits), writer_(limits) {}
 
+    /// A store whose node comes up on an existing disk image (a blob
+    /// from archive_writer::finalize): it starts crashed, and recover()
+    /// reads the image.
+    durable_store(daq::archive_limits limits, std::vector<std::uint8_t> image);
+
     /// Appends one buffered datagram to the archive (epoch is carried as
     /// a u16 prefix inside the record payload). Returns false and counts
     /// when refused — by an archive cap or because the node is crashed.
@@ -74,6 +79,8 @@ public:
 private:
     bool append_impl(const buffered_datagram& d);
     void write_journal();
+    /// Writes the sealed journal into the writer's `seq.<id>` attributes.
+    void write_sealed_journal();
 
     daq::archive_limits limits_;
     daq::archive_writer writer_;

@@ -41,7 +41,7 @@ void run_recorder::capture_trace(const trace::flight_recorder& fr)
         rec.sequence = id;
         rec.payload.assign(name.begin(), name.end());
         rec.size_bytes = static_cast<std::uint32_t>(rec.payload.size());
-        writer_.append(run_ds_sites, std::move(rec));
+        writer_.append(run_ds_sites, rec);
     }
     for (const auto& ev : fr.events()) {
         byte_writer w;
@@ -55,7 +55,7 @@ void run_recorder::capture_trace(const trace::flight_recorder& fr)
         rec.timestamp_ns = static_cast<std::uint64_t>(ev.at_ns);
         rec.payload = w.take();
         rec.size_bytes = static_cast<std::uint32_t>(rec.payload.size());
-        writer_.append(run_ds_wire, std::move(rec));
+        writer_.append(run_ds_wire, rec);
         wire_events_++;
     }
     writer_.set_attribute("wire_events", std::to_string(wire_events_));
@@ -73,7 +73,7 @@ void run_recorder::capture_metrics(const metrics_registry& reg)
         rec.sequence = metrics_rows_;
         rec.payload = w.take();
         rec.size_bytes = static_cast<std::uint32_t>(rec.payload.size());
-        writer_.append(run_ds_metrics, std::move(rec));
+        writer_.append(run_ds_metrics, rec);
         metrics_rows_++;
     }
     writer_.set_attribute("metrics_rows", std::to_string(metrics_rows_));
@@ -85,7 +85,7 @@ void run_recorder::capture_report(const std::string& csv)
     rec.sequence = 0;
     rec.payload.assign(csv.begin(), csv.end());
     rec.size_bytes = static_cast<std::uint32_t>(rec.payload.size());
-    writer_.append(run_ds_report, std::move(rec));
+    writer_.append(run_ds_report, rec);
 }
 
 std::vector<std::uint8_t> run_recorder::finalize() { return writer_.finalize(); }

@@ -1,10 +1,13 @@
 // Tests for the HDF5-style archival container (§6 challenge 2):
 // round-trips, chunking, checksum validation, attributes, random access,
-// and an end-to-end transcode of received MMTP datagrams.
+// an end-to-end transcode of received MMTP datagrams, a byte-level format
+// pin, and chunks whose body disagrees with the index.
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "daq/archive.hpp"
 #include "daq/trigger.hpp"
 #include "daq/wib.hpp"
+#include "dtn/durable_store.hpp"
 
 #include <gtest/gtest.h>
 
@@ -316,4 +319,141 @@ TEST(archive, large_payload_stress)
     ASSERT_EQ(records.size(), 500u);
     for (std::uint64_t i = 0; i < 500; ++i)
         EXPECT_EQ(records[i].payload.size(), sizes[i]) << i;
+}
+
+// The on-disk format, pinned: a fixed script through every writer path
+// (three datasets, payloads of 0, 2 and 37 bytes, full chunks, partial
+// chunks sealed early, a discarded open tail, file and dataset
+// attributes) must keep producing these exact bytes.
+TEST(archive, format_pin)
+{
+    archive_limits limits;
+    limits.chunk_records = 4;
+    archive_writer w(limits);
+    const auto a = wire::make_experiment_id(1, 0);
+    const auto b = wire::make_experiment_id(2, 5);
+    const auto c = wire::make_experiment_id(wire::experiments::dune, 3);
+    const std::size_t lengths[] = {0, 2, 37};
+    w.set_attribute("facility", "pin-site");
+    for (std::uint64_t i = 0; i < 11; ++i) w.append(a, make_record(i, lengths[i % 3]));
+    for (std::uint64_t i = 0; i < 6; ++i) w.append(b, make_record(100 + i, lengths[(i + 1) % 3]));
+    w.seal_open_chunks(); // partial chunks: 3 records of a, 2 of b
+    for (std::uint64_t i = 0; i < 3; ++i) w.append(c, make_record(200 + i, lengths[i]));
+    for (std::uint64_t i = 11; i < 13; ++i) w.append(a, make_record(i, lengths[i % 3]));
+    EXPECT_EQ(w.discard_open_chunks(), 5u);
+    for (std::uint64_t i = 0; i < 5; ++i) w.append(c, make_record(300 + i, lengths[(i + 2) % 3]));
+    w.append(b, make_record(106, 37));
+    w.set_dataset_attribute(b, "detector", "pin-tpc");
+    w.set_dataset_attribute(c, "schema", "v1");
+    w.set_attribute("seq.7", "12");
+    const auto blob = w.finalize();
+
+    EXPECT_EQ(blob.size(), 1226u);
+    EXPECT_EQ(crc32c(blob), 0xc5e616e6u);
+
+    const auto r = archive_reader::open(blob);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->record_count(a), 11u);
+    EXPECT_EQ(r->record_count(b), 7u);
+    EXPECT_EQ(r->record_count(c), 5u);
+    EXPECT_EQ(r->read_all(c).front().sequence, 300u);
+}
+
+namespace {
+
+// One dataset of three sealed chunks, four records each, every payload
+// `chunk_payload` bytes: chunk k starts at chunk_at(k).
+constexpr std::size_t chunk_payload = 10;
+constexpr std::size_t chunk_length =
+    chunk_header_bytes + 4 * (record_header_bytes + chunk_payload);
+
+std::size_t chunk_at(std::size_t k)
+{
+    return 18 + k * chunk_length; // after magic, version and index offset
+}
+
+std::vector<std::uint8_t> three_chunk_blob(wire::experiment_id exp)
+{
+    archive_limits limits;
+    limits.chunk_records = 4;
+    archive_writer w(limits);
+    for (std::uint64_t i = 0; i < 12; ++i) w.append(exp, make_record(i, chunk_payload));
+    return w.finalize();
+}
+
+/// Rewrites chunk k's CRC so the chunk checksums valid again.
+void recompute_crc(std::vector<std::uint8_t>& blob, std::size_t k)
+{
+    const auto at = chunk_at(k);
+    const auto crc = crc32c(std::span<const std::uint8_t>(blob).subspan(at + 4, chunk_length - 4));
+    write_cursor(blob.data() + at).u32(crc);
+}
+
+std::vector<std::uint64_t> sequences_of(const std::vector<archived_record>& records)
+{
+    std::vector<std::uint64_t> out;
+    for (const auto& r : records) out.push_back(r.sequence);
+    return out;
+}
+
+} // namespace
+
+// A chunk whose body disagrees with its index entry — another record
+// count, or a payload length that over- or under-runs the chunk — yields
+// no records on any read path, even with its CRC recomputed to match.
+// The other chunks still read: the check is all-or-nothing per chunk.
+TEST(archive, chunk_disagreeing_with_index_yields_nothing)
+{
+    const auto exp = wire::make_experiment_id(wire::experiments::dune, 0);
+    const auto pristine = three_chunk_blob(exp);
+    const auto body = chunk_at(1) + chunk_header_bytes;
+    const auto len_field = [&](std::size_t record) { // closes the record header
+        return body + record * (record_header_bytes + chunk_payload) + record_header_bytes - 4;
+    };
+    struct mutation {
+        const char* what;
+        std::size_t at;
+        std::uint32_t value;
+    };
+    const mutation mutations[] = {
+        {"count 3", chunk_at(1) + 4, 3},
+        {"count 5", chunk_at(1) + 4, 5},
+        {"payload_len overruns", len_field(2), chunk_payload + 1},
+        {"payload_len underruns", len_field(3), chunk_payload - 1},
+    };
+    const std::vector<std::uint64_t> survivors = {0, 1, 2, 3, 8, 9, 10, 11};
+
+    for (const auto& m : mutations) {
+        SCOPED_TRACE(m.what);
+        auto blob = pristine;
+        write_cursor(blob.data() + m.at).u32(m.value);
+        recompute_crc(blob, 1);
+
+        const auto r = archive_reader::open(blob);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->record_count(exp), 12u); // the index still says 12
+
+        EXPECT_EQ(sequences_of(r->read_all(exp)), survivors);
+
+        std::vector<std::uint64_t> visited;
+        r->visit(exp, [&](const record_view& v) { visited.push_back(v.sequence); });
+        EXPECT_EQ(visited, survivors);
+
+        for (std::uint64_t i = 0; i < 12; ++i)
+            EXPECT_EQ(r->read_at(exp, i).has_value(), i < 4 || i >= 8) << i;
+
+        dtn::durable_store store({}, blob);
+        const auto rec = store.recover();
+        std::vector<std::uint64_t> recovered;
+        for (const auto& d : rec.records) recovered.push_back(d.sequence);
+        EXPECT_EQ(recovered, survivors);
+        EXPECT_EQ(store.durable_records(), survivors.size());
+    }
+
+    // the same rewrite without a disagreement reads every record
+    auto blob = pristine;
+    recompute_crc(blob, 1);
+    const auto r = archive_reader::open(blob);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->read_all(exp).size(), 12u);
 }

@@ -438,6 +438,62 @@ TEST(crc32c, detects_single_bit_flip)
     EXPECT_NE(crc32c(data), before);
 }
 
+namespace {
+
+/// The definition: one bit at a time through the reflected polynomial.
+std::uint32_t bitwise_crc32c(std::span<const std::uint8_t> data)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (const auto b : data) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k) c = (c & 1) ? (0x82f63b78u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::uint64_t seed, std::size_t n)
+{
+    rng r(seed);
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(r.next());
+    return out;
+}
+
+} // namespace
+
+// Every length 0–1024 at every start offset 0–7, so the eight-byte loop,
+// the bytewise tail and unaligned starts all meet the reference.
+TEST(crc32c, matches_bitwise_reference_at_every_length_and_offset)
+{
+    const auto data = random_bytes(31, 1024 + 8);
+    const std::span<const std::uint8_t> all(data);
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const auto s = all.subspan(offset, len);
+            ASSERT_EQ(crc32c(s), bitwise_crc32c(s)) << "offset " << offset << " len " << len;
+        }
+}
+
+// Feeding the same bytes through crc32c_update in pieces split at random
+// points gives the one-shot CRC.
+TEST(crc32c, random_split_points_match_oneshot)
+{
+    rng r(57);
+    for (int round = 0; round < 200; ++round) {
+        const auto n = static_cast<std::size_t>(r.uniform_int(0, 700));
+        const auto data = random_bytes(1000 + round, n);
+        const std::span<const std::uint8_t> all(data);
+        auto state = crc32c_init();
+        std::size_t at = 0;
+        while (at < n) {
+            const auto piece = static_cast<std::size_t>(r.uniform_int(0, n - at));
+            state = crc32c_update(state, all.subspan(at, piece));
+            at += piece;
+        }
+        ASSERT_EQ(crc32c_finish(state), bitwise_crc32c(all)) << "round " << round;
+    }
+}
+
 // ------------------------------------------------------------ histogram
 
 TEST(histogram, empty)
