@@ -2,6 +2,13 @@
 
 namespace mmtp::control {
 
+namespace {
+/// Slack multiplier on the path latency when deriving the deadline.
+constexpr double deadline_slack = 3.0;
+/// Extra fixed allowance for processing/queueing.
+constexpr sim_duration deadline_allowance{2000000}; // 2 ms
+} // namespace
+
 compiled_policy compile_modes(const policy_inputs& in, const resource_map& map)
 {
     compiled_policy out;
@@ -11,7 +18,7 @@ compiled_policy compile_modes(const policy_inputs& in, const resource_map& map)
     std::int64_t path_ns = 0;
     for (const auto& s : in.segments) path_ns += s.one_way_latency.ns;
     const double budget_ns =
-        static_cast<double>(path_ns) * in.deadline_slack + static_cast<double>(in.deadline_allowance.ns);
+        static_cast<double>(path_ns) * deadline_slack + static_cast<double>(deadline_allowance.ns);
     out.deadline_us = static_cast<std::uint32_t>(budget_ns / 1000.0);
 
     // Recovery buffer: explicit, or nearest upstream buffer in the map.

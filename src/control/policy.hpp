@@ -52,15 +52,12 @@ struct policy_inputs {
     wire::ipv4_addr recovery_buffer{0};
     /// Where deadline-exceeded notifications go (usually the source DTN).
     wire::ipv4_addr notify_addr{0};
-    /// Slack multiplier on the path latency when deriving the deadline.
-    double deadline_slack{3.0};
-    /// Extra fixed allowance for processing/queueing.
-    sim_duration deadline_allowance{sim_duration{2000000}}; // 2 ms
 };
 
 /// Compiles the per-segment modes. Mirrors the pilot: mode 0 in the DAQ
 /// network, age-sensitive + recoverable-loss over the WAN, timeliness
-/// check (with in-network features stripped) on the campus segment.
+/// check (with in-network features stripped) on the campus segment. The
+/// deadline is 3x the one-way path latency plus a 2 ms allowance.
 compiled_policy compile_modes(const policy_inputs& in, const resource_map& map);
 
 } // namespace mmtp::control

@@ -4,25 +4,11 @@
 
 namespace mmtp::control {
 
-namespace {
-/// Severity ordering for posture escalation: loss beats congestion.
-int severity(posture p)
-{
-    switch (p) {
-    case posture::baseline: return 0;
-    case posture::relaxed: return 1;
-    case posture::buffered: return 2;
-    }
-    return 0;
-}
-} // namespace
-
 const char* posture_name(posture p)
 {
     switch (p) {
     case posture::baseline: return "baseline";
     case posture::buffered: return "buffered";
-    case posture::relaxed: return "relaxed";
     }
     return "?";
 }
@@ -49,8 +35,7 @@ void policy_engine::subscribe_health(health_monitor& hm)
             // immediately instead of waiting out the poll interval.
             stats_.health_triggers++;
             clean_polls_ = 0;
-            if (severity(posture::buffered) > severity(posture_))
-                request(posture::buffered);
+            if (posture_ != posture::buffered) request(posture::buffered);
         }
     });
 }
@@ -63,28 +48,11 @@ std::uint64_t policy_engine::loss_total() const
     return total;
 }
 
-std::uint64_t policy_engine::bp_total() const
-{
-    std::uint64_t total = 0;
-    for (auto* sw : bp_switches_) total += sw->state().counter("backpressure_engagements");
-    return total;
-}
-
-std::uint64_t policy_engine::occupancy_now() const
-{
-    std::uint64_t peak = 0;
-    for (const auto& probe : occupancy_probes_) {
-        const auto v = probe();
-        if (v > peak) peak = v;
-    }
-    return peak;
-}
-
 compiled_policy policy_engine::compile_for(posture p) const
 {
-    // Every posture starts from a fresh static compilation — the presets
-    // are transformations of the baseline plan, so segment topology
-    // changes (new inputs) are picked up on the next shift too.
+    // Both postures start from a fresh static compilation — buffered is
+    // a transformation of the baseline plan, so segment topology changes
+    // (new inputs) are picked up on the next shift too.
     compiled_policy plan = compile_modes(cfg_.inputs, map_);
     if (cfg_.deadline_override_us != 0) {
         plan.deadline_us = cfg_.deadline_override_us;
@@ -92,9 +60,7 @@ compiled_policy policy_engine::compile_for(posture p) const
             if (t.rule.deadline_us) t.rule.deadline_us = cfg_.deadline_override_us;
     }
 
-    switch (p) {
-    case posture::baseline: break;
-    case posture::buffered:
+    if (p == posture::buffered) {
         // Trade timeliness for recovery: while the span is lossy no
         // datagram is aged, shed or notified about — sequencing,
         // retransmission and backpressure stay so everything is
@@ -105,18 +71,6 @@ compiled_policy policy_engine::compile_for(posture p) const
             t.rule.clear_bits |= wire::feature_bit(wire::feature::timeliness);
             t.rule.deadline_us.reset();
         }
-        break;
-    case posture::relaxed: {
-        // Keep the mode shape but scale the deadline: under congestion
-        // the queueing delay is self-inflicted, so shedding for lateness
-        // would throw away data the path is about to deliver.
-        const auto relaxed_us = static_cast<std::uint32_t>(
-            static_cast<double>(plan.deadline_us) * cfg_.relaxed_deadline_factor);
-        plan.deadline_us = relaxed_us;
-        for (auto& t : plan.transitions)
-            if (t.rule.deadline_us) t.rule.deadline_us = relaxed_us;
-        break;
-    }
     }
 
     // Recompute the per-segment resulting modes from the transformed
@@ -167,7 +121,6 @@ void policy_engine::start()
 
     install(current_, epoch_); // epoch 0
     last_loss_ = loss_total();
-    last_bp_ = bp_total();
     schedule_poll();
 }
 
@@ -185,30 +138,14 @@ void policy_engine::evaluate()
     stats_.polls++;
 
     const auto loss = loss_total();
-    const auto bp = bp_total();
     const auto dloss = loss - last_loss_;
-    const auto dbp = bp - last_bp_;
     last_loss_ = loss;
-    last_bp_ = bp;
 
-    const bool loss_stress = link_down_ || dloss >= cfg_.loss_degrade_threshold;
-    const bool bp_stress = dbp >= cfg_.bp_relax_threshold
-        || (cfg_.occupancy_relax_bytes > 0
-            && occupancy_now() >= cfg_.occupancy_relax_bytes);
-
-    if (loss_stress || bp_stress) {
+    if (link_down_ || dloss >= cfg_.loss_degrade_threshold) {
         clean_polls_ = 0;
-        if (loss_stress && !link_down_) stats_.loss_triggers++;
-        if (bp_stress) {
-            if (dbp >= cfg_.bp_relax_threshold)
-                stats_.backpressure_triggers++;
-            else
-                stats_.occupancy_triggers++;
-        }
-        // Escalate only: loss demands buffered, congestion demands
-        // relaxed; a weaker stress never downgrades a stronger posture.
-        const posture demand = loss_stress ? posture::buffered : posture::relaxed;
-        if (severity(demand) > severity(posture_)) request(demand);
+        if (!link_down_) stats_.loss_triggers++;
+        // Escalate only: the way back down is the restore hysteresis.
+        if (posture_ != posture::buffered) request(posture::buffered);
     } else if (posture_ != posture::baseline) {
         // Restore-on-recovery with hysteresis: require a run of clean
         // polls so an intermittent fault cannot flap the configuration.

@@ -2,12 +2,11 @@
 //
 // compile_modes() answers "which mode should each segment run in, given
 // what we know at setup time". The policy engine owns that answer over
-// the *lifetime* of a run: it holds the current compiled_policy,
-// subscribes to the signals PRs 2–4 built (health-monitor transitions,
-// backpressure engagements, buffer occupancy, link loss counters), and
-// when a trigger fires it recompiles a per-segment plan for a new
-// *posture* and installs it with epoch-versioned, make-before-break
-// updates:
+// the *lifetime* of a run: it holds the current compiled_policy, watches
+// two signals (loss counters on watched links, and health-monitor
+// transitions), and when one fires it recompiles a per-segment plan for
+// the buffered posture and installs it with epoch-versioned,
+// make-before-break updates; a run of clean polls restores the baseline:
 //
 //   plan      a trigger picked a new posture; a fresh epoch number is
 //             minted and the plan recompiled for it
@@ -50,18 +49,15 @@ enum class mode_preset : std::uint8_t {
     closed_loop,
 };
 
-/// The adaptive postures the closed loop moves between.
+/// The two postures the closed loop moves between (the values are the
+/// `policy_posture` metric).
 enum class posture : std::uint8_t {
     /// The compiled static plan (age-sensitive + recoverable WAN).
-    baseline,
+    baseline = 0,
     /// Degrade-to-buffered under loss: drop the delivery deadline so
     /// nothing is shed or aged while the span is lossy; keep sequencing,
     /// recovery and backpressure. Data arrives late rather than never.
-    buffered,
-    /// Relax-timeliness under backpressure: keep the mode shape but
-    /// scale the deadline up, so queue-building traffic is not shed for
-    /// lateness the congestion itself caused.
-    relaxed,
+    buffered = 1,
 };
 
 const char* posture_name(posture p);
@@ -89,16 +85,8 @@ struct policy_engine_config {
     /// Loss events (corrupted + randomly dropped on watched links) per
     /// poll interval that trigger degrade-to-buffered.
     std::uint64_t loss_degrade_threshold{8};
-    /// Backpressure engagements per poll interval that trigger
-    /// relax-timeliness.
-    std::uint64_t bp_relax_threshold{1};
-    /// Watched buffer occupancy (bytes) that triggers relax-timeliness
-    /// (0 disables the occupancy trigger).
-    std::uint64_t occupancy_relax_bytes{0};
-    /// Deadline multiplier of the relaxed posture.
-    double relaxed_deadline_factor{4.0};
-    /// Restore hysteresis: consecutive clean polls required before a
-    /// degraded posture returns to baseline (prevents flapping when the
+    /// Restore hysteresis: consecutive clean polls required before the
+    /// buffered posture returns to baseline (prevents flapping when the
     /// fault is intermittent).
     unsigned restore_after_clean_polls{4};
 };
@@ -110,8 +98,6 @@ struct policy_engine_stats {
     std::uint64_t reconfigs_committed{0};
     std::uint64_t reconfigs_aborted{0};
     std::uint64_t loss_triggers{0};
-    std::uint64_t backpressure_triggers{0};
-    std::uint64_t occupancy_triggers{0};
     std::uint64_t health_triggers{0};
     std::uint64_t restores{0};
 };
@@ -138,17 +124,6 @@ public:
     /// Counts corrupted + randomly dropped packets on `l` toward the
     /// loss trigger.
     void watch_loss(const netsim::link& l) { loss_links_.push_back(&l); }
-    /// Counts `sw`'s backpressure engagements toward the relax trigger.
-    void watch_backpressure(pnet::programmable_switch& sw)
-    {
-        bp_switches_.push_back(&sw);
-    }
-    /// Polls `probe` (current occupancy in bytes) for the relax trigger;
-    /// typically `[&]{ return buf.buffer().bytes_used(); }`.
-    void watch_occupancy(std::function<std::uint64_t()> probe)
-    {
-        occupancy_probes_.push_back(std::move(probe));
-    }
     /// Reacts to link-health transitions: any watched link going down
     /// degrades to buffered immediately (no poll-interval lag); recovery
     /// is left to the restore hysteresis.
@@ -187,8 +162,6 @@ private:
     void evaluate();
     void schedule_poll();
     std::uint64_t loss_total() const;
-    std::uint64_t bp_total() const;
-    std::uint64_t occupancy_now() const;
 
     netsim::engine& eng_;
     resource_map map_;
@@ -196,8 +169,6 @@ private:
     std::vector<attached> elements_;
     origin_handler origin_;
     std::vector<const netsim::link*> loss_links_;
-    std::vector<pnet::programmable_switch*> bp_switches_;
-    std::vector<std::function<std::uint64_t()>> occupancy_probes_;
 
     compiled_policy current_;
     posture posture_{posture::baseline};
@@ -207,7 +178,6 @@ private:
     bool link_down_{false};
     unsigned clean_polls_{0};
     std::uint64_t last_loss_{0};
-    std::uint64_t last_bp_{0};
     std::uint32_t trace_site_{0};
     policy_engine_stats stats_;
 };

@@ -68,7 +68,7 @@ constexpr std::size_t chunk_index_bytes = 8 + 8 + 4;
 
 // ----------------------------------------------------------- writer
 
-archive_writer::archive_writer(archive_limits limits) : limits_(limits) {}
+archive_writer::archive_writer(std::uint32_t chunk_records) : chunk_records_(chunk_records) {}
 
 void archive_writer::set_attribute(const std::string& key, const std::string& value)
 {
@@ -82,31 +82,13 @@ void archive_writer::set_dataset_attribute(wire::experiment_id experiment,
     datasets_[experiment].attributes[key] = value;
 }
 
-bool archive_writer::append(wire::experiment_id experiment, std::uint64_t sequence,
+void archive_writer::append(wire::experiment_id experiment, std::uint64_t sequence,
                             std::uint64_t timestamp_ns, std::uint32_t size_bytes,
                             std::span<const std::uint8_t> prefix,
                             std::span<const std::uint8_t> body)
 {
     const std::size_t payload = prefix.size() + body.size();
-    if (limits_.max_record_bytes != 0 && payload > limits_.max_record_bytes) {
-        stats_.rejected_oversize++;
-        return false;
-    }
-    auto it = datasets_.find(experiment);
-    if (it == datasets_.end()) {
-        if (limits_.max_datasets != 0 && datasets_.size() >= limits_.max_datasets) {
-            stats_.rejected_dataset_cap++;
-            return false;
-        }
-        it = datasets_.try_emplace(experiment).first;
-    }
-    auto& ds = it->second;
-    if (limits_.max_chunks_per_dataset != 0
-        && ds.record_count >= static_cast<std::uint64_t>(limits_.max_chunks_per_dataset)
-                * limits_.chunk_records) {
-        stats_.rejected_chunk_cap++;
-        return false;
-    }
+    auto& ds = datasets_[experiment];
     // the open chunk's header comes with its first record
     const std::size_t header = ds.open_records == 0 ? chunk_header_bytes : 0;
     const std::size_t at = ds.bytes.size();
@@ -124,8 +106,7 @@ bool archive_writer::append(wire::experiment_id experiment, std::uint64_t sequen
     ds.record_count++;
     records_++;
     stats_.appended++;
-    if (ds.open_records >= limits_.chunk_records) seal_chunk(ds);
-    return true;
+    if (ds.open_records >= chunk_records_) seal_chunk(ds);
 }
 
 void archive_writer::seal_open_chunks()

@@ -45,31 +45,9 @@ struct record_view {
     std::span<const std::uint8_t> payload;
 };
 
-struct archive_limits {
-    /// Records per chunk before the chunk is sealed and checksummed.
-    std::uint32_t chunk_records{256};
-    /// Largest accepted record payload in bytes (0 = unlimited). An
-    /// oversized append is rejected — returned false and counted — so a
-    /// runaway producer cannot grow chunks without bound.
-    std::uint32_t max_record_bytes{0};
-    /// Cap on records per dataset, expressed in sealed chunks
-    /// (0 = unlimited): once a dataset holds chunk_records *
-    /// max_chunks_per_dataset records, further appends to it are
-    /// rejected. finalize() therefore never emits more than
-    /// max_chunks_per_dataset chunks for any dataset.
-    std::uint32_t max_chunks_per_dataset{0};
-    /// Cap on distinct datasets created by append (0 = unlimited);
-    /// appends that would create one more are rejected.
-    std::uint32_t max_datasets{0};
-};
-
-/// Append-path accounting: every rejected record is counted under the
-/// limit that refused it (nothing is dropped silently).
+/// Append-path accounting.
 struct archive_writer_stats {
     std::uint64_t appended{0};
-    std::uint64_t rejected_oversize{0};
-    std::uint64_t rejected_chunk_cap{0};
-    std::uint64_t rejected_dataset_cap{0};
     std::uint64_t chunks_sealed{0};
 };
 
@@ -90,25 +68,26 @@ constexpr std::size_t record_header_bytes = 8 + 8 + 4 + 4;
 /// Serializes datasets of records into a single byte blob. Each record is
 /// encoded straight into its dataset's open chunk: the bytes after its
 /// sealed chunks. Sealing patches the chunk's record count and CRC in
-/// place.
+/// place. The writer takes every record it is given; only the reader
+/// checks what it is handed.
 class archive_writer {
 public:
-    explicit archive_writer(archive_limits limits = {});
+    /// `chunk_records`: records per chunk before the chunk is sealed and
+    /// checksummed.
+    explicit archive_writer(std::uint32_t chunk_records = 256);
 
     /// File-level attribute (e.g. "facility" -> "dune-far-site").
     void set_attribute(const std::string& key, const std::string& value);
 
     /// Appends a record whose payload is `prefix` followed by `body` to
-    /// the dataset of `experiment` (created lazily). Returns false — and
-    /// counts the rejection — when an archive_limits cap refuses it; the
-    /// writer stays usable either way.
-    bool append(wire::experiment_id experiment, std::uint64_t sequence,
+    /// the dataset of `experiment` (created lazily).
+    void append(wire::experiment_id experiment, std::uint64_t sequence,
                 std::uint64_t timestamp_ns, std::uint32_t size_bytes,
                 std::span<const std::uint8_t> prefix, std::span<const std::uint8_t> body);
 
-    bool append(wire::experiment_id experiment, const archived_record& r)
+    void append(wire::experiment_id experiment, const archived_record& r)
     {
-        return append(experiment, r.sequence, r.timestamp_ns, r.size_bytes, {}, r.payload);
+        append(experiment, r.sequence, r.timestamp_ns, r.size_bytes, {}, r.payload);
     }
 
     /// Seals every open chunk now (the durability point a crash cannot
@@ -154,7 +133,7 @@ private:
 
     void seal_chunk(dataset& ds);
 
-    archive_limits limits_;
+    std::uint32_t chunk_records_;
     std::map<wire::experiment_id, dataset> datasets_;
     std::map<std::string, std::string> attributes_;
     std::uint64_t records_{0};

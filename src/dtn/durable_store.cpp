@@ -15,8 +15,11 @@ constexpr std::size_t epoch_bytes = 2;
 
 } // namespace
 
-durable_store::durable_store(daq::archive_limits limits, std::vector<std::uint8_t> image)
-    : limits_(limits), writer_(limits), image_(std::move(image)), crashed_(true)
+durable_store::durable_store(std::uint32_t chunk_records, std::vector<std::uint8_t> image)
+    : chunk_records_(chunk_records),
+      writer_(chunk_records),
+      image_(std::move(image)),
+      crashed_(true)
 {
 }
 
@@ -26,19 +29,16 @@ bool durable_store::append(const buffered_datagram& d)
         stats_.rejected++;
         return false;
     }
-    if (!append_impl(d)) {
-        stats_.rejected++;
-        return false;
-    }
+    append_impl(d);
     stats_.appended++;
     return true;
 }
 
-bool durable_store::append_impl(const buffered_datagram& d)
+void durable_store::append_impl(const buffered_datagram& d)
 {
     std::array<std::uint8_t, epoch_bytes> epoch{};
     write_cursor(epoch.data()).u16(d.epoch);
-    return writer_.append(d.experiment, d.sequence, d.timestamp_ns, d.size_bytes, epoch,
+    writer_.append(d.experiment, d.sequence, d.timestamp_ns, d.size_bytes, epoch,
                           d.inline_payload);
 }
 
@@ -80,7 +80,7 @@ std::uint64_t durable_store::crash()
     // image the revived node comes back to
     write_sealed_journal();
     image_ = writer_.finalize();
-    writer_ = daq::archive_writer(limits_);
+    writer_ = daq::archive_writer(chunk_records_);
     journal_.clear();
     crashed_ = true;
     return tail;

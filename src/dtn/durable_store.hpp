@@ -25,7 +25,7 @@ namespace mmtp::dtn {
 
 struct durable_store_stats {
     std::uint64_t appended{0};
-    std::uint64_t rejected{0}; // archive_limits refusals + appends while crashed
+    std::uint64_t rejected{0}; // appends while crashed
     std::uint64_t crashes{0};
     std::uint64_t tail_lost{0}; // records in unsealed chunks at crash time
     std::uint64_t recovered{0};
@@ -34,16 +34,20 @@ struct durable_store_stats {
 
 class durable_store {
 public:
-    explicit durable_store(daq::archive_limits limits = {}) : limits_(limits), writer_(limits) {}
+    /// `chunk_records`: the archive's records per sealed chunk.
+    explicit durable_store(std::uint32_t chunk_records = 256)
+        : chunk_records_(chunk_records), writer_(chunk_records)
+    {
+    }
 
     /// A store whose node comes up on an existing disk image (a blob
     /// from archive_writer::finalize): it starts crashed, and recover()
     /// reads the image.
-    durable_store(daq::archive_limits limits, std::vector<std::uint8_t> image);
+    durable_store(std::uint32_t chunk_records, std::vector<std::uint8_t> image);
 
     /// Appends one buffered datagram to the archive (epoch is carried as
     /// a u16 prefix inside the record payload). Returns false and counts
-    /// when refused — by an archive cap or because the node is crashed.
+    /// when refused because the node is crashed.
     bool append(const buffered_datagram& d);
 
     /// Journals "next expected sequence" for an experiment. The journal
@@ -77,12 +81,12 @@ public:
     const durable_store_stats& stats() const { return stats_; }
 
 private:
-    bool append_impl(const buffered_datagram& d);
+    void append_impl(const buffered_datagram& d);
     void write_journal();
     /// Writes the sealed journal into the writer's `seq.<id>` attributes.
     void write_sealed_journal();
 
-    daq::archive_limits limits_;
+    std::uint32_t chunk_records_;
     daq::archive_writer writer_;
     std::map<wire::experiment_id, std::uint64_t> journal_; // pending, durable at seal()
     std::map<wire::experiment_id, std::uint64_t> sealed_journal_;

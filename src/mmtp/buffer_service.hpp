@@ -95,7 +95,7 @@ struct buffer_service_stats {
     std::uint64_t retransmit_queue_peak{0};
     // Persistence lifecycle (all zero without cfg.persist):
     std::uint64_t persisted{0};        // records appended to the archive
-    std::uint64_t persist_rejected{0}; // refused by an archive cap
+    std::uint64_t persist_rejected{0}; // refused while the store is crashed
     std::uint64_t crashes{0};
     std::uint64_t tail_lost{0};          // unsealed records lost across crashes
     std::uint64_t recovered_records{0};  // reloaded from the archive at revive

@@ -7,6 +7,11 @@
 
 namespace mmtp::core {
 
+namespace {
+/// Wait before a sequence gap is declared a loss (absorbs reordering).
+constexpr sim_duration reorder_grace{200000}; // 200 us
+} // namespace
+
 receiver::receiver(stack& st, receiver_config cfg) : stack_(st), cfg_(cfg)
 {
     stack_.set_data_sink([this](delivered_datagram&& d) { on_data(std::move(d)); });
@@ -32,7 +37,7 @@ void receiver::on_flush(const wire::stream_flush_body& f)
     if (f.next_sequence > st.highest) st.highest = f.next_sequence;
     st.base = st.received.next_missing(st.base);
     if (st.base < st.highest && !st.check_scheduled)
-        schedule_check(k, cfg_.timing.reorder_grace);
+        schedule_check(k, reorder_grace);
 }
 
 std::uint64_t receiver::outstanding_gaps() const
@@ -155,7 +160,7 @@ void receiver::on_data(delivered_datagram&& d)
         }
 
         if (st.base < st.highest) {
-            if (!st.check_scheduled) schedule_check(k, cfg_.timing.reorder_grace);
+            if (!st.check_scheduled) schedule_check(k, reorder_grace);
         } else if (st.check_scheduled && stack_.sim().cancel(st.check_timer)) {
             // Reordered data closed every gap before the grace period
             // ended: drop the now-pointless check.
@@ -192,7 +197,7 @@ void receiver::note_buffer_available(wire::ipv4_addr addr)
             g.last_nak = sim_time::zero();
         }
         if (st.base < st.highest && !st.check_scheduled)
-            schedule_check(k, cfg_.timing.reorder_grace);
+            schedule_check(k, reorder_grace);
     }
 }
 

@@ -3,7 +3,7 @@
 // The receiver delivers datagrams to the application as they arrive
 // (message-based, no head-of-line blocking — Req 7). For streams in a
 // loss-recoverable mode it tracks sequence numbers per (experiment,
-// epoch), detects gaps after a short reordering grace period, and sends
+// epoch), detects gaps after a 200 us reordering grace period, and sends
 // NAKs to the retransmission-buffer address carried in the header — the
 // pilot's "DTN 2 uses this information to detect loss and prepare a NAK
 // to restore the missing packets" (§5.4). It also performs the
@@ -26,7 +26,7 @@
 namespace mmtp::core {
 
 struct receiver_config {
-    /// Shared retry/backoff schedule: reorder grace, NAK retry base/cap
+    /// Shared retry/backoff schedule: NAK retry base/cap
     /// (the mode policy sets the base per deployment — it should exceed
     /// the RTT to the buffer), attempt budget and failover threshold.
     /// The retry budget and backoff restart at the fallback buffer;

@@ -1,12 +1,12 @@
 // timing_profile.hpp — shared retry/timeout/backoff schedule.
 //
-// The same handful of knobs — how long to wait before declaring loss,
-// how often to retry, when to give up, how long to stay quiet after a
-// pressure signal — used to be duplicated (with diverging names) across
-// sender_config, receiver_config and buffer_service_config. They are one
-// policy: the control plane derives them together from the same
-// path-latency inputs (compile_modes' suggested_nak_retry, §5.4), so
-// they live together, reached through each config's `.timing`.
+// The same handful of knobs — how often to retry, when to give up, how
+// long to stay quiet after a pressure signal — used to be duplicated
+// (with diverging names) across sender_config, receiver_config and
+// buffer_service_config. They are one policy: the control plane derives
+// them together from the same path-latency inputs (compile_modes'
+// suggested_nak_retry, §5.4), so they live together, reached through
+// each config's `.timing`.
 #pragma once
 
 #include "common/units.hpp"
@@ -18,8 +18,6 @@ namespace mmtp::core {
 /// One coherent retry/timeout/backoff schedule, shared by endpoints and
 /// buffer services. All durations are simulated time.
 struct timing_profile {
-    /// Wait before a sequence gap is declared a loss (absorbs reordering).
-    sim_duration reorder_grace{sim_duration{200000}}; // 200 us
     /// Base interval for unanswered retries (NAKs); should exceed the RTT
     /// to the responder. The n-th retry waits base * 2^(n-1).
     sim_duration retry_base{sim_duration{5000000}}; // 5 ms

@@ -39,7 +39,7 @@ void link::send(packet&& p)
                     trace::reason::link_down);
         return;
     }
-    if (wire > cfg_.mtu) {
+    if (wire > link_mtu) {
         stats_.dropped_oversize++;
         trace::emit(eng_.now(), trace_site_, trace::hop::link_drop, pid, wire,
                     trace::reason::oversize);

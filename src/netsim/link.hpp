@@ -39,8 +39,10 @@ struct link_config {
     /// Independent per-packet drop probability (e.g. optical glitches).
     double drop_probability{0.0};
     std::uint64_t queue_capacity_bytes{4 * 1024 * 1024};
-    std::uint32_t mtu{9000}; // jumbo frames are the norm in DAQ (§2.1)
 };
+
+/// Largest frame a link carries; jumbo frames are the norm in DAQ (§2.1).
+constexpr std::uint32_t link_mtu = 9000;
 
 struct link_stats {
     /// Packets/bytes that actually went onto the wire toward the far end
@@ -72,7 +74,7 @@ public:
          const link_config& cfg, std::unique_ptr<queue_disc> q = nullptr);
 
     /// Queues the packet for transmission; drops it (recording stats)
-    /// if the queue is full or the packet exceeds the MTU.
+    /// if the queue is full or the packet exceeds link_mtu.
     void send(packet&& p);
 
     const link_config& config() const { return cfg_; }

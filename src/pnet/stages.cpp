@@ -162,7 +162,6 @@ void age_update_stage::resolve(element_state& state)
 {
     aged_packets_ = state.counter_id("aged_packets");
     notifications_ = state.counter_id("deadline_notifications");
-    aged_drops_ = state.counter_id("aged_drops");
 }
 
 void age_update_stage::process(packet_context& ctx, element_state& state)
@@ -190,7 +189,7 @@ void age_update_stage::process(packet_context& ctx, element_state& state)
             ctx.headers_dirty = true;
             state.bump(aged_packets_);
         }
-        if (cfg_.emit_notifications && !t.notified() && t.notify_addr != 0) {
+        if (emit_notifications_ && !t.notified() && t.notify_addr != 0) {
             t.set_notified();
             ctx.headers_dirty = true;
             wire::deadline_exceeded_body body;
@@ -206,10 +205,6 @@ void age_update_stage::process(packet_context& ctx, element_state& state)
                                     wire::control_type::deadline_exceeded, w.take()),
                 t.notify_addr});
             state.bump(notifications_);
-        }
-        if (cfg_.drop_aged) {
-            ctx.drop = true;
-            state.bump(aged_drops_);
         }
     }
 }

@@ -118,22 +118,20 @@ private:
 
 // ---------------------------------------------------------------------------
 
-struct age_config {
-    /// Emit deadline_exceeded control messages to the header's notify
-    /// address (once per datagram; the `notified` flag suppresses dups).
-    bool emit_notifications{true};
-    /// Drop datagrams that aged out (policy: stale DAQ data is useless
-    /// for near-real-time analysis and only wastes downstream capacity).
-    bool drop_aged{false};
-};
-
 /// Updates the age field of timeliness-mode packets from the source
 /// timestamp, sets the `aged` flag when the budget is exceeded, and
 /// notifies the configured address (§5.4 "age-sensitivity is handled
-/// entirely in network elements").
+/// entirely in network elements"). Aged datagrams are forwarded, never
+/// dropped.
 class age_update_stage final : public pipeline_stage {
 public:
-    explicit age_update_stage(age_config cfg = {}) : cfg_(cfg) {}
+    /// `emit_notifications`: send deadline_exceeded control messages to
+    /// the header's notify address (once per datagram; the `notified`
+    /// flag suppresses dups).
+    explicit age_update_stage(bool emit_notifications = true)
+        : emit_notifications_(emit_notifications)
+    {
+    }
 
     void process(packet_context& ctx, element_state& state) override;
     std::string name() const override { return "age_update"; }
@@ -141,10 +139,9 @@ public:
 private:
     void resolve(element_state& state) override;
 
-    age_config cfg_;
+    bool emit_notifications_;
     counter_handle aged_packets_;
     counter_handle notifications_;
-    counter_handle aged_drops_;
 };
 
 // ---------------------------------------------------------------------------

@@ -143,9 +143,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     // (and persist = false skips the store entirely). A revive always
     // forces the store — there is nothing to reload without one.
     if (cfg.persist || cfg.revive_at.ns > 0) {
-        daq::archive_limits persist_limits;
-        persist_limits.chunk_records = cfg.persist_chunk_records;
-        tb->buf1_store = std::make_unique<dtn::durable_store>(persist_limits);
+        tb->buf1_store = std::make_unique<dtn::durable_store>(cfg.persist_chunk_records);
         b1.persist = tb->buf1_store.get();
     }
     tb->buf1_stack = std::make_unique<core::stack>(*tb->buf1, net.ids());

@@ -92,10 +92,8 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
 
     // --- in-network programs ---
     tb->mode_stage = std::make_shared<pnet::mode_transition_stage>();
-    pnet::age_config age_cfg;
-    age_cfg.emit_notifications = cfg.notifications;
-    tb->tofino_age = std::make_shared<pnet::age_update_stage>(age_cfg);
-    tb->alveo_age = std::make_shared<pnet::age_update_stage>(age_cfg);
+    tb->tofino_age = std::make_shared<pnet::age_update_stage>(cfg.notifications);
+    tb->alveo_age = std::make_shared<pnet::age_update_stage>(cfg.notifications);
     tb->duplication = std::make_shared<pnet::duplication_stage>();
 
     tb->dup_mode_stage = std::make_shared<pnet::mode_transition_stage>();

@@ -299,9 +299,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
     tb->dtn2_stack = std::make_unique<core::stack>(*tb->dtn2, net.ids());
     core::buffer_service_config b2;
     b2.tap_only = true;
-    daq::archive_limits persist_limits;
-    persist_limits.chunk_records = cfg.persist_chunk_records;
-    tb->dtn2_store = std::make_unique<dtn::durable_store>(persist_limits);
+    tb->dtn2_store = std::make_unique<dtn::durable_store>(cfg.persist_chunk_records);
     b2.persist = tb->dtn2_store.get();
     tb->dtn2_svc = std::make_unique<core::buffer_service>(*tb->dtn2_stack, b2);
     tb->dtn2_svc->attach_as_sink();

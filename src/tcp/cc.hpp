@@ -1,46 +1,43 @@
-// cc.hpp — congestion-control algorithms for the TCP baseline.
+// cc.hpp — CUBIC congestion control for the TCP baseline.
 //
-// Two algorithms cover today's DTN practice: Reno/NewReno (the classical
-// behaviour the paper's §4 complaints are calibrated against) and CUBIC
-// (the Linux default used on tuned DTNs). Both operate on a cwnd in
-// bytes. The interface is event-driven so connection.cpp stays free of
-// algorithm detail.
+// The baseline reproduces today's tuned DTNs (§4), which run the Linux
+// default, CUBIC. The window is kept in bytes; connection.cpp owns one
+// `cubic` by value and feeds it acks, RTT samples, losses and timeouts.
 #pragma once
 
 #include "common/units.hpp"
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace mmtp::tcp {
 
-class congestion_control {
+/// CUBIC (RFC 8312-flavoured): window growth is a cubic function of time
+/// since the last loss, anchored at the pre-loss window w_max.
+class cubic {
 public:
-    virtual ~congestion_control() = default;
+    cubic(std::uint32_t mss, std::uint64_t init_cwnd_bytes);
 
-    virtual void on_ack(std::uint64_t newly_acked_bytes, sim_time now) = 0;
-    /// RTT sample feedback (HyStart-style slow-start exit); default no-op.
-    virtual void on_rtt_sample(sim_duration) {}
+    void on_ack(std::uint64_t newly_acked_bytes, sim_time now);
+    /// RTT sample feedback (HyStart-style slow-start exit).
+    void on_rtt_sample(sim_duration rtt);
     /// Triple-dupack style loss (fast retransmit entry).
-    virtual void on_loss(sim_time now) = 0;
+    void on_loss(sim_time now);
     /// Retransmission timeout: collapse to one segment.
-    virtual void on_timeout(sim_time now) = 0;
+    void on_timeout(sim_time now);
 
-    virtual std::uint64_t cwnd() const = 0;
-    virtual std::string name() const = 0;
+    std::uint64_t cwnd() const { return cwnd_; }
+
+private:
+    static constexpr double c_ = 0.4;
+    static constexpr double beta_ = 0.3; // CUBIC's multiplicative decrease
+
+    std::uint32_t mss_;
+    std::uint64_t cwnd_;
+    std::uint64_t ssthresh_;
+    std::uint64_t w_max_{0};
+    double k_{0.0};
+    sim_time epoch_start_{sim_time::never()};
+    sim_duration min_rtt_{sim_duration::zero()};
 };
-
-struct cc_config {
-    std::uint32_t mss{8960};
-    std::uint64_t init_cwnd_bytes{10 * 8960};
-};
-
-std::unique_ptr<congestion_control> make_reno(cc_config cfg);
-std::unique_ptr<congestion_control> make_cubic(cc_config cfg);
-
-enum class cc_kind { reno, cubic };
-
-std::unique_ptr<congestion_control> make_cc(cc_kind kind, cc_config cfg);
 
 } // namespace mmtp::tcp

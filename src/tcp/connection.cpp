@@ -5,14 +5,23 @@
 
 namespace mmtp::tcp {
 
+namespace {
+
+/// Jumbo frames (§2.1), leaving header room in a 9000-byte MTU.
+constexpr std::uint32_t mss = 8900;
+constexpr std::uint64_t init_cwnd_bytes = 10ull * mss;
+constexpr sim_duration min_rto{200000000};      // 200 ms (Linux)
+constexpr sim_duration initial_rto{1000000000}; // 1 s pre-RTT-sample
+constexpr sim_duration delayed_ack{500000};     // 500 us
+
+} // namespace
+
 tcp_config tuned_dtn_config(data_rate path_rate, sim_duration rtt, data_rate host_limit)
 {
     tcp_config cfg;
-    cfg.cc = cc_kind::cubic;
     const double bdp = static_cast<double>(path_rate.bits_per_sec) / 8.0 * rtt.seconds();
     cfg.send_buffer_bytes = static_cast<std::uint64_t>(bdp * 2.0) + 1 * 1024 * 1024;
     cfg.recv_buffer_bytes = cfg.send_buffer_bytes;
-    cfg.init_cwnd_bytes = 10ull * cfg.mss;
     cfg.host_limit = host_limit;
     return cfg;
 }
@@ -26,21 +35,18 @@ connection::connection(netsim::host& h, netsim::packet_id_source& ids, tcp_confi
       cfg_(cfg),
       local_port_(local_port),
       remote_addr_(remote_addr),
-      remote_port_(remote_port)
+      remote_port_(remote_port),
+      cc_(mss, init_cwnd_bytes)
 {
-    cc_config ccc;
-    ccc.mss = cfg_.mss;
-    ccc.init_cwnd_bytes = cfg_.init_cwnd_bytes;
-    cc_ = make_cc(cfg_.cc, ccc);
     rwnd_ = cfg_.recv_buffer_bytes; // assume a peer like us until told
 }
 
 sim_duration connection::rto() const
 {
-    sim_duration base = cfg_.initial_rto;
+    sim_duration base = initial_rto;
     if (srtt_) {
         base = *srtt_ + 4 * rttvar_;
-        if (base < cfg_.min_rto) base = cfg_.min_rto;
+        if (base < min_rto) base = min_rto;
     }
     // exponential backoff on consecutive timeouts
     for (std::uint32_t i = 0; i < rto_backoff_ && base.ns < 60'000'000'000; ++i)
@@ -59,7 +65,7 @@ void connection::rtt_sample(sim_duration sample)
         srtt_ = sim_duration{(7 * srtt_->ns + sample.ns) / 8};
     }
     stats_.last_srtt = *srtt_;
-    cc_->on_rtt_sample(sample);
+    cc_.on_rtt_sample(sample);
 }
 
 void connection::connect()
@@ -112,7 +118,7 @@ std::uint64_t connection::inflight() const
 
 std::uint64_t connection::effective_window() const
 {
-    const std::uint64_t w = cc_->cwnd();
+    const std::uint64_t w = cc_.cwnd();
     return w < rwnd_ ? w : rwnd_;
 }
 
@@ -224,14 +230,14 @@ void connection::maybe_send_data()
             } else {
                 // no SACK info: classic fast retransmit repairs only the
                 // segment at snd_una
-                const auto una_seg = snd_una_ + cfg_.mss;
+                const auto una_seg = snd_una_ + mss;
                 if (una_seg < high) high = una_seg;
             }
             const auto gaps = sacked_.gaps(rtx_cursor_, high);
             if (!gaps.empty()) {
                 seq = gaps.front().first;
                 len = gaps.front().second - gaps.front().first;
-                if (len > cfg_.mss) len = cfg_.mss;
+                if (len > mss) len = mss;
                 if (len > budget) len = budget;
                 is_rtx = true;
                 rtx_cursor_ = seq + len;
@@ -258,7 +264,7 @@ void connection::maybe_send_data()
                 break;
             }
             seq = snd_nxt_;
-            len = avail < cfg_.mss ? avail : cfg_.mss;
+            len = avail < mss ? avail : mss;
             if (len > budget) len = budget;
             // do not run into a SACKed range
             auto it = sacked_.intervals().upper_bound(snd_nxt_);
@@ -304,7 +310,7 @@ void connection::on_rto()
     if (snd_una_ >= snd_nxt_) return;
     stats_.timeouts++;
     rto_backoff_++;
-    cc_->on_timeout(eng_.now());
+    cc_.on_timeout(eng_.now());
     timing_.clear();
     in_recovery_ = false;
     dupacks_ = 0;
@@ -397,7 +403,7 @@ void connection::process_ack(const segment_header& seg)
                 rtx_cursor_ = snd_una_; // partial ack: keep repairing
             }
         } else {
-            cc_->on_ack(newly, eng_.now());
+            cc_.on_ack(newly, eng_.now());
         }
 
         if (snd_una_ >= snd_nxt_)
@@ -409,7 +415,7 @@ void connection::process_ack(const segment_header& seg)
         dupacks_++;
         if (dupacks_ == 3 && !in_recovery_) {
             stats_.fast_retransmits++;
-            cc_->on_loss(eng_.now());
+            cc_.on_loss(eng_.now());
             in_recovery_ = true;
             // NewReno-style: recovery lasts until everything sent so far
             // is acknowledged, preventing repeated window collapses from
@@ -493,7 +499,7 @@ void connection::handle_segment(const segment_header& seg, std::uint64_t payload
     } else if (!ack_scheduled_) {
         ack_scheduled_ = true;
         const auto gen = ++ack_generation_;
-        eng_.schedule_in(cfg_.delayed_ack, [this, gen] {
+        eng_.schedule_in(delayed_ack, [this, gen] {
             if (gen != ack_generation_ || !ack_scheduled_) return;
             send_ack_now();
         });

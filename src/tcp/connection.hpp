@@ -2,9 +2,13 @@
 //
 // Implements the behaviour the paper's §4 describes DAQ transfers relying
 // on today: bytestream, handshake, sliding window with flow control,
-// Reno/CUBIC congestion control, RTO + fast retransmit with SACK, and a
+// CUBIC congestion control, RTO + fast retransmit with SACK, and a
 // per-stream end-host processing ceiling (`host_limit`) that reproduces
 // the observed ~30 Gbps single-stream / ~55 Gbps testbed limits (§4.1).
+// Segment size (8900-byte MSS), initial window (10 segments), RTO floor
+// (200 ms) and initial RTO (1 s), and the 500 us delayed-ACK timer are
+// constants in connection.cpp; only buffers and the host ceiling differ
+// between the stock and tuned profiles.
 //
 // The stream payload is virtual (byte counts, not bytes): the benches
 // measure throughput, FCT and delivery latency, none of which depend on
@@ -28,22 +32,16 @@
 namespace mmtp::tcp {
 
 struct tcp_config {
-    std::uint32_t mss{8900}; // jumbo frames (§2.1), leaving header room in a 9000 MTU
     std::uint64_t send_buffer_bytes{256 * 1024};
     std::uint64_t recv_buffer_bytes{256 * 1024};
-    cc_kind cc{cc_kind::cubic};
-    std::uint64_t init_cwnd_bytes{10 * 8900};
-    sim_duration min_rto{sim_duration{200000000}};     // 200 ms (Linux)
-    sim_duration initial_rto{sim_duration{1000000000}}; // 1 s pre-RTT-sample
-    sim_duration delayed_ack{sim_duration{500000}};     // 500 us
     /// Per-stream end-host processing ceiling; 0 = unlimited. Models the
     /// DTN tuning wall: a single heavily-tuned stream tops out around
     /// 30-55 Gbps regardless of link rate (§4.1).
     data_rate host_limit{0};
 };
 
-/// A tuned-DTN profile: CUBIC, buffers sized to 2x the path BDP, jumbo
-/// MSS, and the single-stream host ceiling (default 30 Gbps as per [46]).
+/// A tuned-DTN profile: buffers sized to 2x the path BDP and the
+/// single-stream host ceiling (default 30 Gbps as per [46]).
 tcp_config tuned_dtn_config(data_rate path_rate, sim_duration rtt,
                             data_rate host_limit = data_rate::from_gbps(30));
 
@@ -132,7 +130,7 @@ private:
     std::uint16_t local_port_;
     wire::ipv4_addr remote_addr_;
     std::uint16_t remote_port_;
-    std::unique_ptr<congestion_control> cc_;
+    cubic cc_;
 
     state state_{state::closed};
 

@@ -193,10 +193,13 @@ void register_policy_engine_probes(metrics_registry& reg, const metric_labels& b
     reg.add_probe("policy_polls", base, [p] { return p->stats().polls; });
     reg.add_probe("policy_triggers", with("signal", "loss"),
                   [p] { return p->stats().loss_triggers; });
+    // The loop watches loss and link health only. These two rows stay,
+    // always 0, because the pinned metrics CSVs of every closed-loop
+    // scenario carry them.
     reg.add_probe("policy_triggers", with("signal", "backpressure"),
-                  [p] { return p->stats().backpressure_triggers; });
+                  [] { return std::uint64_t{0}; });
     reg.add_probe("policy_triggers", with("signal", "occupancy"),
-                  [p] { return p->stats().occupancy_triggers; });
+                  [] { return std::uint64_t{0}; });
     reg.add_probe("policy_triggers", with("signal", "health"),
                   [p] { return p->stats().health_triggers; });
     reg.add_probe("policy_restores", base, [p] { return p->stats().restores; });
@@ -237,6 +240,8 @@ void register_element_metrics(metrics_registry& reg, const std::string& element_
                   [s] { return s->stats().dropped_unroutable; });
     // Named pipeline counters (P4-style): exported under one canonical
     // key family instead of each scenario inventing its own row names.
+    // No stage bumps `aged_drops` (aged datagrams are forwarded); its row
+    // reads 0 and stays because the pinned metrics CSVs carry it.
     for (const char* ctr :
          {"mode_transitions", "mode_shifts", "epochs_retired", "backpressure_engagements",
           "backpressure_signals", "backpressure_suppressed", "backpressure_escalations",

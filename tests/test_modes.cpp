@@ -260,29 +260,31 @@ TEST(policy_engine, epoch_lifecycle_make_before_break)
     const auto baseline_deadline = pe.current().deadline_us;
     ASSERT_GT(baseline_deadline, 0u);
 
-    // relaxed: same shape, deadline scaled up.
-    ASSERT_TRUE(pe.request(control::posture::relaxed));
+    // buffered: timeliness stripped, the deadline dropped entirely.
+    ASSERT_TRUE(pe.request(control::posture::buffered));
     EXPECT_EQ(pe.epoch(), 1u);
     EXPECT_TRUE(f.stage->has_epoch(1));
     EXPECT_TRUE(f.stage->has_epoch(0)) << "make before break";
-    EXPECT_EQ(pe.current().deadline_us, baseline_deadline * 4);
+    EXPECT_EQ(pe.current().deadline_us, 0u);
     EXPECT_EQ(pe.pending_commits(), 1u);
 
     // Same posture again: duplicate, aborted.
-    EXPECT_FALSE(pe.request(control::posture::relaxed));
+    EXPECT_FALSE(pe.request(control::posture::buffered));
     EXPECT_EQ(pe.stats().reconfigs_aborted, 1u);
 
-    // buffered escalates past relaxed and drops the deadline entirely.
-    ASSERT_TRUE(pe.request(control::posture::buffered));
+    // An explicit de-escalation: back to baseline under epoch 2, with the
+    // compiled deadline restored.
+    ASSERT_TRUE(pe.request(control::posture::baseline));
     EXPECT_EQ(pe.epoch(), 2u);
-    EXPECT_EQ(pe.current().deadline_us, 0u);
+    EXPECT_TRUE(f.stage->has_epoch(2));
+    EXPECT_EQ(pe.current().deadline_us, baseline_deadline);
     EXPECT_EQ(pe.pending_commits(), 2u);
 
-    // Explicit requests may also de-escalate (only the automatic
-    // triggers are escalate-only): back to relaxed under a fourth epoch.
-    ASSERT_TRUE(pe.request(control::posture::relaxed));
+    // Degrade once more: buffered under a fourth epoch.
+    ASSERT_TRUE(pe.request(control::posture::buffered));
     EXPECT_EQ(pe.epoch(), 3u);
-    EXPECT_EQ(pe.current().deadline_us, baseline_deadline * 4);
+    EXPECT_EQ(pe.current().deadline_us, 0u);
+    EXPECT_EQ(pe.pending_commits(), 3u);
 
     // Drain windows elapse: the old epochs' rules are retired, the
     // newest survives.

@@ -236,12 +236,11 @@ TEST(link, mtu_enforced)
     network net(1);
     auto& sink = net.emplace<sink_node>("sink");
     auto& src = net.add_host("src");
-    link_config cfg;
-    cfg.mtu = 1500;
-    const auto port = net.connect_simplex(src, sink, cfg);
-    src.egress(port).send(make_pkt(1, 2000));
+    const auto port = net.connect_simplex(src, sink, link_config{});
+    src.egress(port).send(make_pkt(1, link_mtu + 1));
+    src.egress(port).send(make_pkt(2, link_mtu)); // the boundary passes
     net.sim().run();
-    EXPECT_TRUE(sink.arrivals.empty());
+    ASSERT_EQ(sink.arrivals.size(), 1u);
     EXPECT_EQ(src.egress(port).stats().dropped_oversize, 1u);
 }
 

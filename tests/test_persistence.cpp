@@ -46,9 +46,7 @@ dtn::buffered_datagram make_buffered(std::uint64_t seq, wire::experiment_id exp,
 // become durable four at a time, and a crash loses exactly the open tail.
 TEST(durable_store, crash_loses_exactly_the_unsealed_tail)
 {
-    daq::archive_limits limits;
-    limits.chunk_records = 4;
-    dtn::durable_store store(limits);
+    dtn::durable_store store(4);
     const auto exp = wire::make_experiment_id(wire::experiments::dune, 0);
 
     for (std::uint64_t i = 0; i < 10; ++i) EXPECT_TRUE(store.append(make_buffered(i, exp)));
@@ -84,9 +82,7 @@ TEST(durable_store, crash_loses_exactly_the_unsealed_tail)
 // journal rides along.
 TEST(durable_store, seal_makes_partial_chunks_and_journal_durable)
 {
-    daq::archive_limits limits;
-    limits.chunk_records = 64; // far larger than the append count
-    dtn::durable_store store(limits);
+    dtn::durable_store store(64); // far larger than the append count
     const auto exp = wire::make_experiment_id(wire::experiments::iceberg, 2);
 
     for (std::uint64_t i = 0; i < 5; ++i) store.append(make_buffered(i, exp, 3));
@@ -113,9 +109,7 @@ TEST(durable_store, seal_makes_partial_chunks_and_journal_durable)
 // them on disk — revive is not a one-shot.
 TEST(durable_store, survives_repeated_crash_recover_cycles)
 {
-    daq::archive_limits limits;
-    limits.chunk_records = 4;
-    dtn::durable_store store(limits);
+    dtn::durable_store store(4);
     const auto exp = wire::make_experiment_id(1, 0);
 
     for (std::uint64_t i = 0; i < 8; ++i) store.append(make_buffered(i, exp));
@@ -146,9 +140,7 @@ TEST(durable_store, survives_repeated_crash_recover_cycles)
 // their own experiment ids.
 TEST(durable_store, recovery_keeps_experiments_separate)
 {
-    daq::archive_limits limits;
-    limits.chunk_records = 2;
-    dtn::durable_store store(limits);
+    dtn::durable_store store(2);
     const auto a = wire::make_experiment_id(1, 0);
     const auto b = wire::make_experiment_id(2, 0);
     for (std::uint64_t i = 0; i < 4; ++i) store.append(make_buffered(i, a));
@@ -193,9 +185,7 @@ TEST(persistence_service, nak_repair_served_from_archive_after_revive)
     stack s_primary(primary, net.ids());
     stack s_dst(dst, net.ids());
 
-    daq::archive_limits limits;
-    limits.chunk_records = 8; // 200 records = 25 full chunks, all sealed
-    dtn::durable_store store(limits);
+    dtn::durable_store store(8); // 200 records = 25 full chunks, all sealed
 
     buffer_service_config pcfg;
     pcfg.next_hop = dst.address();
@@ -270,9 +260,7 @@ TEST(persistence_service, unsealed_tail_loss_is_bounded_and_accounted)
     stack s_primary(primary, net.ids());
     stack s_dst(dst, net.ids());
 
-    daq::archive_limits limits;
-    limits.chunk_records = 64; // 200 = 3 sealed chunks + 8-record tail
-    dtn::durable_store store(limits);
+    dtn::durable_store store(64); // 200 = 3 sealed chunks + 8-record tail
 
     buffer_service_config pcfg;
     pcfg.next_hop = dst.address();
@@ -332,15 +320,8 @@ struct hook_rig {
     std::unique_ptr<receiver> rx;
     fault_scheduler faults;
 
-    static daq::archive_limits store_limits()
-    {
-        daq::archive_limits l;
-        l.chunk_records = 8;
-        return l;
-    }
-
     explicit hook_rig(std::uint64_t seed)
-        : net(seed), store(store_limits()), faults(net.sim())
+        : net(seed), store(8), faults(net.sim()) // 8 records per chunk
     {
         primary = &net.add_host("primary");
         dst = &net.add_host("dst");
@@ -528,9 +509,7 @@ namespace {
 /// file and dataset attributes.
 std::vector<std::uint8_t> make_fuzz_blob()
 {
-    daq::archive_limits limits;
-    limits.chunk_records = 4;
-    daq::archive_writer w(limits);
+    daq::archive_writer w(4);
     const auto a = wire::make_experiment_id(1, 0);
     const auto b = wire::make_experiment_id(2, 3);
     w.set_attribute("facility", "fuzz-site");

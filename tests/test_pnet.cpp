@@ -367,19 +367,6 @@ TEST(age_update, sets_aged_flag_and_notifies_once)
     EXPECT_TRUE(rebuilt.emissions.empty());
 }
 
-TEST(age_update, drop_aged_policy)
-{
-    age_config cfg;
-    cfg.drop_aged = true;
-    cfg.emit_notifications = false;
-    age_update_stage stage(cfg);
-    element_state st;
-    auto ctx = make_ctx(timed_header(0, 100), 1, 2, sim_time{(1_ms).ns});
-    stage.process(ctx, st);
-    EXPECT_TRUE(ctx.drop);
-    EXPECT_EQ(st.counter("aged_drops"), 1u);
-}
-
 TEST(age_update, zero_deadline_means_no_budget_check)
 {
     age_update_stage stage;

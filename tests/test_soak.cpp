@@ -258,7 +258,6 @@ TEST(counter_width, stream_epoch_u16_extremes_are_distinct_streams)
 TEST(counter_width, multi_million_sequence_gap_counts_exactly)
 {
     receiver_config cfg;
-    cfg.timing.reorder_grace = sim_duration{100000};
     cfg.timing.retry_base = 1_ms;
     cfg.timing.max_attempts = 1;
     cfg.timing.failover_attempts = 0;
@@ -309,7 +308,6 @@ TEST(soak_streams, seq_register_cells_collision_free)
 TEST(stream_retirement, prune_retires_complete_idle_streams_only)
 {
     receiver_config cfg;
-    cfg.timing.reorder_grace = sim_duration{100000};
     cfg.timing.retry_base = 5_ms;
     cfg.timing.max_attempts = 8;
     cfg.timing.failover_attempts = 0;

@@ -45,51 +45,20 @@ TEST(segment, rejects_bad_sack)
 
 // ------------------------------------------------------------------- cc
 
-TEST(cc, reno_slow_start_doubles_then_linear)
-{
-    tcp::cc_config cfg;
-    cfg.mss = 1000;
-    cfg.init_cwnd_bytes = 10000;
-    auto cc = tcp::make_reno(cfg);
-    // slow start: cwnd grows by acked bytes
-    cc->on_ack(10000, sim_time{0});
-    EXPECT_EQ(cc->cwnd(), 20000u);
-    // loss halves
-    cc->on_loss(sim_time{0});
-    EXPECT_EQ(cc->cwnd(), 10000u);
-    // now in congestion avoidance: +mss^2/cwnd per ack
-    const auto before = cc->cwnd();
-    cc->on_ack(1000, sim_time{0});
-    EXPECT_EQ(cc->cwnd(), before + (1000ull * 1000) / before);
-    // timeout collapses to one segment
-    cc->on_timeout(sim_time{0});
-    EXPECT_EQ(cc->cwnd(), 1000u);
-}
-
 TEST(cc, cubic_recovers_toward_wmax)
 {
-    tcp::cc_config cfg;
-    cfg.mss = 1000;
-    cfg.init_cwnd_bytes = 100000;
-    auto cc = tcp::make_cubic(cfg);
-    cc->on_ack(100000, sim_time{0}); // leave slow start? still below ssthresh
-    cc->on_loss(sim_time{(1_s).ns});
-    const auto after_loss = cc->cwnd();
+    tcp::cubic cc(1000, 100000); // mss, initial window
+    cc.on_ack(100000, sim_time{0}); // leave slow start? still below ssthresh
+    cc.on_loss(sim_time{(1_s).ns});
+    const auto after_loss = cc.cwnd();
     EXPECT_LT(after_loss, 200000u);
     // growth: repeatedly ack over simulated seconds; should climb back
     auto t = sim_time{(1_s).ns};
     for (int i = 0; i < 200; ++i) {
         t = t + 10_ms;
-        cc->on_ack(10000, t);
+        cc.on_ack(10000, t);
     }
-    EXPECT_GT(cc->cwnd(), after_loss);
-}
-
-TEST(cc, factory)
-{
-    tcp::cc_config cfg;
-    EXPECT_EQ(tcp::make_cc(tcp::cc_kind::reno, cfg)->name(), "reno");
-    EXPECT_EQ(tcp::make_cc(tcp::cc_kind::cubic, cfg)->name(), "cubic");
+    EXPECT_GT(cc.cwnd(), after_loss);
 }
 
 // ------------------------------------------------------------ fixtures
