@@ -62,8 +62,9 @@ std::size_t round_up_pow2(std::size_t n)
 } // namespace
 
 flight_recorder::flight_recorder(std::size_t capacity)
-    : ring_(round_up_pow2(capacity < 2 ? 2 : capacity)), mask_(ring_.size() - 1)
+    : mask_(round_up_pow2(capacity < 2 ? 2 : capacity) - 1)
 {
+    ring_.reset(static_cast<record*>(::operator new(this->capacity() * sizeof(record))));
     site_names_.push_back("?"); // site 0: unnamed
 }
 
@@ -83,30 +84,28 @@ const std::string& flight_recorder::site_name(std::uint32_t id) const
 std::vector<record> flight_recorder::events() const
 {
     std::vector<record> out;
-    const std::uint64_t n = head_ < ring_.size() ? head_ : ring_.size();
-    out.reserve(n);
-    for (std::uint64_t i = head_ - n; i < head_; ++i) out.push_back(ring_[i & mask_]);
+    out.reserve(head_ - overwritten());
+    for_each([&](const record& r) { out.push_back(r); });
     return out;
 }
 
 std::vector<record> flight_recorder::packet_events(std::uint64_t packet_id) const
 {
     std::vector<record> out;
-    for (const auto& r : events())
+    for_each([&](const record& r) {
         if (r.packet_id == packet_id) out.push_back(r);
+    });
     return out;
 }
 
 std::vector<record> flight_recorder::message_timeline(std::uint64_t seq) const
 {
-    const auto all = events();
-
     // Pass 1: collect every packet id bound to the sequence. Binding
     // records appear before any dependent binding (a clone record follows
     // its parent's seq-insert in the same pipeline pass; a retransmit
     // binds its fresh id at emission), so one ordered pass converges.
     std::unordered_set<std::uint64_t> ids;
-    for (const auto& r : all) {
+    for_each([&](const record& r) {
         switch (r.kind) {
         case hop::sw_seq_insert:
         case hop::mmtp_retransmit:
@@ -119,12 +118,12 @@ std::vector<record> flight_recorder::message_timeline(std::uint64_t seq) const
         default:
             break;
         }
-    }
+    });
 
     // Pass 2: keep records for bound packets plus stream-scoped records
     // that name (or cover) the sequence.
     std::vector<record> out;
-    for (const auto& r : all) {
+    for_each([&](const record& r) {
         bool keep = r.packet_id != 0 && ids.count(r.packet_id) != 0;
         switch (r.kind) {
         case hop::mmtp_nak:
@@ -138,7 +137,7 @@ std::vector<record> flight_recorder::message_timeline(std::uint64_t seq) const
             break;
         }
         if (keep) out.push_back(r);
-    }
+    });
     return out;
 }
 

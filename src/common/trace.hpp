@@ -5,9 +5,12 @@
 // shared ring. Records carry the simulated timestamp, an interned *site*
 // id (which link / element / endpoint), a hop kind, an optional drop
 // reason and one 64-bit kind-specific argument (bytes, sequence number,
-// address, packed NAK range). The ring is preallocated, so emitting on
-// the PR-1 packet hot path performs zero allocations; when no recorder
-// is installed the emit helper is a single thread-local pointer test.
+// address, packed NAK range). The ring is allocated at construction but
+// not zero-filled: only records already emitted are ever read, so the
+// pages of a large ring that a run never reaches are never touched.
+// Emitting on the packet hot path performs zero allocations; when no
+// recorder is installed the emit helper is a single thread-local pointer
+// test.
 //
 // Joining records into a *message* timeline works through binding
 // events: a sequence-insert or retransmit record binds a packet id to a
@@ -22,6 +25,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -103,7 +107,8 @@ constexpr std::uint64_t range_len(std::uint64_t packed) { return packed >> 48; }
 class flight_recorder {
 public:
     /// Capacity is rounded up to a power of two (default 64Ki records,
-    /// 2 MiB). All storage is allocated here, never on the emit path.
+    /// 2 MiB). All storage is allocated here, never on the emit path, and
+    /// left unwritten until records fill it.
     explicit flight_recorder(std::size_t capacity = 1u << 16);
 
     /// Interns `name` and returns its site id (idempotent per name).
@@ -118,26 +123,34 @@ public:
     void emit(std::int64_t at_ns, std::uint32_t site_id, hop kind,
               std::uint64_t packet_id, std::uint64_t arg, reason why) noexcept
     {
-        record& r = ring_[head_ & mask_];
-        r.at_ns = at_ns;
-        r.packet_id = packet_id;
-        r.arg = arg;
-        r.site = site_id;
-        r.kind = kind;
-        r.why = why;
+        ring_[head_ & mask_] = record{at_ns, packet_id, arg, site_id, kind, why, 0};
         head_++;
     }
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return mask_ + 1; }
     /// Total records ever emitted (monotonic, past any overwrites).
     std::uint64_t emitted() const { return head_; }
     /// Records lost to ring overwrite.
-    std::uint64_t overwritten() const
+    std::uint64_t overwritten() const { return head_ > capacity() ? head_ - capacity() : 0; }
+
+    /// Calls fn(const record&) for each surviving record, oldest first,
+    /// read in place.
+    template <typename Fn>
+    void for_each(Fn&& fn) const
     {
-        return head_ > ring_.size() ? head_ - ring_.size() : 0;
+        for (auto i = overwritten(); i < head_; ++i) fn(ring_[i & mask_]);
     }
 
-    /// Surviving records, oldest first.
+    /// The oldest surviving record that pred accepts, or nullptr.
+    template <typename Pred>
+    const record* find_first(Pred&& pred) const
+    {
+        for (auto i = overwritten(); i < head_; ++i)
+            if (pred(ring_[i & mask_])) return &ring_[i & mask_];
+        return nullptr;
+    }
+
+    /// Surviving records, oldest first, as a copy.
     std::vector<record> events() const;
 
     /// Surviving records for one packet id, oldest first.
@@ -160,7 +173,10 @@ public:
     std::string format_timeline(const std::vector<record>& events) const;
 
 private:
-    std::vector<record> ring_;
+    struct free_ring {
+        void operator()(record* p) const noexcept { ::operator delete(p); }
+    };
+    std::unique_ptr<record[], free_ring> ring_; // raw storage: never zero-filled
     std::uint64_t mask_{0};
     std::uint64_t head_{0};
     std::vector<std::string> site_names_;

@@ -19,7 +19,9 @@ std::optional<timed_message> iceberg_stream::next()
     tm.msg.timestamp_ns = static_cast<std::uint64_t>(at_.ns);
     tm.msg.size_bytes = message_bytes(cfg_.frames_per_record);
 
-    byte_writer w;
+    // Reserved to the bytes written below: the header, plus the frames
+    // when they are materialized (size_bytes counts both).
+    byte_writer w(cfg_.materialize_frames ? tm.msg.size_bytes : daq_header::wire_bytes);
     daq_header dh;
     dh.experiment = tm.msg.experiment;
     dh.sequence = emitted_;
@@ -63,7 +65,7 @@ std::optional<timed_message> supernova_source::next()
     tm.msg.timestamp_ns = static_cast<std::uint64_t>(at_.ns);
     tm.msg.size_bytes = cfg_.message_bytes;
     // Flag burst messages so downstream (alert generation) can react.
-    byte_writer w;
+    byte_writer w(daq_header::wire_bytes);
     daq_header dh;
     dh.experiment = cfg_.experiment;
     dh.sequence = emitted_;

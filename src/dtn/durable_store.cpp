@@ -86,7 +86,7 @@ std::uint64_t durable_store::crash()
     return tail;
 }
 
-durable_store::recovery durable_store::recover()
+durable_store::recovery durable_store::recover(const record_fn& on_record)
 {
     recovery out;
     if (!crashed_) return out;
@@ -116,18 +116,18 @@ durable_store::recovery durable_store::recover()
             d.experiment = id;
             d.timestamp_ns = rec.timestamp_ns;
             d.size_bytes = rec.size_bytes;
-            const auto body = rec.payload.subspan(epoch_bytes);
-            d.inline_payload.assign(body.begin(), body.end());
+            d.inline_payload = rec.payload.subspan(epoch_bytes);
             auto& next = out.next_sequences[id];
             if (d.sequence + 1 > next) next = d.sequence + 1;
             append_impl(d);
-            out.records.push_back(std::move(d));
+            out.records++;
+            if (on_record) on_record(d);
         });
     }
     for (const auto& [id, next] : out.next_sequences) note_sequence(id, next);
     seal();
 
-    stats_.recovered += out.records.size();
+    stats_.recovered += out.records;
     return out;
 }
 

@@ -5,9 +5,9 @@
 // HDF5-style archive (daq::archive_writer). Sealed chunks are durable;
 // the open tail is not. A modeled crash (crash()) finalizes what was
 // sealed into an on-disk image and discards the tail; a later recover()
-// reopens the image and hands back the surviving records plus the
-// per-experiment sequence journal so a revived buffer_service can
-// re-enter NAK repair with correct sequence/epoch state.
+// reopens the image, hands each surviving record to its caller as it walks
+// the image, and returns the per-experiment sequence journal so a revived
+// buffer_service can re-enter NAK repair with correct sequence/epoch state.
 //
 // The store is owned *outside* the buffer service (by the testbed or
 // scenario) precisely because it models the disk: the service process
@@ -18,6 +18,7 @@
 #include "dtn/buffer.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -65,15 +66,18 @@ public:
     std::uint64_t crash();
 
     struct recovery {
-        std::vector<buffered_datagram> records;
+        std::uint64_t records{0};
         /// Highest journalled/derived next-sequence per experiment.
         std::map<wire::experiment_id, std::uint64_t> next_sequences;
     };
 
-    /// Reopens the crash image, returns the surviving records and
-    /// sequence journal, and re-seeds the (fresh) writer with them so
-    /// the revived node keeps accumulating into the same store.
-    recovery recover();
+    /// Reopens the crash image and walks it once: each surviving record
+    /// goes to on_record (its payload view lasts only the call) and is
+    /// re-seeded into the (fresh) writer, so the revived node keeps
+    /// accumulating into the same store. Returns the record count and
+    /// the sequence journal.
+    using record_fn = std::function<void(const buffered_datagram&)>;
+    recovery recover(const record_fn& on_record = {});
 
     bool crashed() const { return crashed_; }
     std::uint64_t durable_records() const { return writer_.sealed_records(); }

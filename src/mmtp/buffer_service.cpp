@@ -21,7 +21,7 @@ buffer_service::buffer_service(stack& st, buffer_service_config cfg)
 
 void buffer_service::attach_as_sink()
 {
-    stack_.set_data_sink([this](delivered_datagram&& d) { relay(d); });
+    stack_.set_data_sink([this](delivered_datagram&& d) { relay(std::move(d)); });
 }
 
 std::uint64_t buffer_service::next_sequence(wire::experiment_id experiment)
@@ -31,7 +31,7 @@ std::uint64_t buffer_service::next_sequence(wire::experiment_id experiment)
     return seq_counters_[experiment]++;
 }
 
-void buffer_service::relay(const delivered_datagram& d)
+void buffer_service::relay(delivered_datagram d)
 {
     const auto now = stack_.sim().now();
     // Datagrams that already carry a sequence number keep it (tap
@@ -54,7 +54,7 @@ void buffer_service::relay(const delivered_datagram& d)
             stats_.persist_rejected++;
         cfg_.persist->note_sequence(d.hdr.experiment, seq + 1);
     }
-    buffer_.store(std::move(entry), now);
+    buffer_.store(entry, now);
     check_pressure(d.src, d.hdr.experiment);
 
     if (cfg_.tap_only) {
@@ -92,7 +92,7 @@ void buffer_service::relay(const delivered_datagram& d)
     stats_.relayed++;
     stats_.relayed_bytes += d.total_payload_bytes;
     const std::uint64_t extra_virtual = d.total_payload_bytes - d.payload.size();
-    stack_.send_datagram(cfg_.next_hop, h, d.payload, extra_virtual);
+    stack_.send_datagram(cfg_.next_hop, h, std::move(d.payload), extra_virtual);
 }
 
 void buffer_service::check_pressure(wire::ipv4_addr src, wire::experiment_id experiment)
@@ -171,34 +171,39 @@ void buffer_service::handle_nak(const wire::nak_body& nak, wire::experiment_id e
     stats_.nak_requests++;
     const auto now = stack_.sim().now();
 
-    for (const auto& range : nak.ranges) {
-        auto entries =
-            buffer_.fetch_range(experiment, nak.epoch, range.first, range.last, now);
-        stats_.unavailable += (range.last - range.first + 1) - entries.size();
-
-        for (auto& entry : entries) {
-            if (cfg_.retransmit_pace.bits_per_sec == 0) {
-                send_retransmit(nak.requester, entry);
-                continue;
-            }
-            // Paced repair: a re-NAK of a sequence still waiting in the
-            // queue is absorbed — re-sending it would only lengthen the
-            // very backlog that delayed the first copy.
-            const auto key = std::make_tuple(nak.requester, entry.experiment, entry.epoch,
-                                             entry.sequence);
-            if (!queued_.insert(key).second) {
-                stats_.retransmit_dedup++;
-                continue;
-            }
-            rtx_queue_.push_back(pending_retransmit{nak.requester, std::move(entry)});
-            if (rtx_queue_.size() > stats_.retransmit_queue_peak)
-                stats_.retransmit_queue_peak = rtx_queue_.size();
+    // Each stored sequence in range is read in place and leaves at once,
+    // or waits in the paced queue with its own copy of the inline bytes.
+    const auto repair = [&](const dtn::buffered_datagram& entry) {
+        std::vector<std::uint8_t> payload(entry.inline_payload.begin(),
+                                          entry.inline_payload.end());
+        if (cfg_.retransmit_pace.bits_per_sec == 0) {
+            send_retransmit(nak.requester, entry, std::move(payload));
+            return;
         }
+        // Paced repair: a re-NAK of a sequence still waiting in the
+        // queue is absorbed — re-sending it would only lengthen the
+        // very backlog that delayed the first copy.
+        const auto key =
+            std::make_tuple(nak.requester, entry.experiment, entry.epoch, entry.sequence);
+        if (!queued_.insert(key).second) {
+            stats_.retransmit_dedup++;
+            return;
+        }
+        auto& queued = rtx_queue_.emplace_back(nak.requester, entry, std::move(payload));
+        queued.entry.inline_payload = {}; // the buffer's bytes may go first
+        if (rtx_queue_.size() > stats_.retransmit_queue_peak)
+            stats_.retransmit_queue_peak = rtx_queue_.size();
+    };
+    for (const auto& range : nak.ranges) {
+        const auto found =
+            buffer_.fetch_range(experiment, nak.epoch, range.first, range.last, now, repair);
+        stats_.unavailable += (range.last - range.first + 1) - found;
     }
     if (!rtx_queue_.empty()) pump_retransmits();
 }
 
-void buffer_service::send_retransmit(wire::ipv4_addr to, const dtn::buffered_datagram& entry)
+void buffer_service::send_retransmit(wire::ipv4_addr to, const dtn::buffered_datagram& entry,
+                                     std::vector<std::uint8_t> payload)
 {
     wire::header h;
     h.experiment = entry.experiment;
@@ -215,11 +220,9 @@ void buffer_service::send_retransmit(wire::ipv4_addr to, const dtn::buffered_dat
         t.notify_addr = cfg_.notify_addr;
         h.timeliness = t;
     }
-    const std::uint64_t extra_virtual = entry.size_bytes > entry.inline_payload.size()
-        ? entry.size_bytes - entry.inline_payload.size()
-        : 0;
-    const std::uint64_t pid =
-        stack_.send_datagram(to, h, entry.inline_payload, extra_virtual);
+    const std::uint64_t extra_virtual =
+        entry.size_bytes > payload.size() ? entry.size_bytes - payload.size() : 0;
+    const std::uint64_t pid = stack_.send_datagram(to, h, std::move(payload), extra_virtual);
     stats_.retransmitted++;
     // Binding record: ties the fresh packet id to the sequence.
     trace::emit(stack_.sim().now(), trace_site_, trace::hop::mmtp_retransmit, pid,
@@ -245,7 +248,7 @@ void buffer_service::pump_retransmits()
         rtx_queue_.pop_front();
         queued_.erase(std::make_tuple(next.to, next.entry.experiment, next.entry.epoch,
                                       next.entry.sequence));
-        send_retransmit(next.to, next.entry);
+        send_retransmit(next.to, next.entry, std::move(next.payload));
         const auto start = rtx_ready_.ns > now.ns ? rtx_ready_ : now;
         rtx_ready_ =
             start + cfg_.retransmit_pace.transmission_time(next.entry.size_bytes);
@@ -303,11 +306,9 @@ std::uint64_t buffer_service::revive(wire::ipv4_addr collector)
     std::uint64_t n = 0;
     if (cfg_.persist) {
         const auto now = stack_.sim().now();
-        auto rec = cfg_.persist->recover();
-        for (auto& d : rec.records) {
-            buffer_.store(std::move(d), now);
-            n++;
-        }
+        const auto rec = cfg_.persist->recover(
+            [&](const dtn::buffered_datagram& d) { buffer_.store(d, now); });
+        n = rec.records;
         for (const auto& [experiment, next] : rec.next_sequences) {
             auto& slot = seq_counters_[experiment];
             if (next > slot) slot = next;

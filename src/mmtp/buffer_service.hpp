@@ -109,8 +109,9 @@ public:
     /// Installs this service as the host's data sink (relay everything).
     void attach_as_sink();
 
-    /// Buffers and forwards one datagram toward next_hop.
-    void relay(const delivered_datagram& d);
+    /// Buffers and forwards one datagram toward next_hop: the buffer
+    /// keeps a copy of the inline bytes, the forwarded datagram takes them.
+    void relay(delivered_datagram d);
 
     const buffer_service_stats& stats() const { return stats_; }
     const dtn::retransmission_buffer& buffer() const { return buffer_; }
@@ -154,7 +155,9 @@ private:
     std::uint64_t next_sequence(wire::experiment_id experiment);
     void check_pressure(wire::ipv4_addr src, wire::experiment_id experiment);
     void prune_signals();
-    void send_retransmit(wire::ipv4_addr to, const dtn::buffered_datagram& entry);
+    /// Re-sends `entry`; `payload` holds its inline bytes.
+    void send_retransmit(wire::ipv4_addr to, const dtn::buffered_datagram& entry,
+                         std::vector<std::uint8_t> payload);
     void pump_retransmits();
 
     stack& stack_;
@@ -165,10 +168,13 @@ private:
     // Paced-retransmission state (unused when retransmit_pace is 0):
     // pending repairs drain through a leaky bucket at the configured
     // rate; `queued_` keys (experiment, epoch, sequence, requester) so a
-    // re-NAK of a still-queued repair is absorbed, not duplicated.
+    // re-NAK of a still-queued repair is absorbed, not duplicated. A
+    // queued repair owns a copy of its inline bytes: the buffer's may be
+    // evicted before it leaves.
     struct pending_retransmit {
         wire::ipv4_addr to{0};
-        dtn::buffered_datagram entry;
+        dtn::buffered_datagram entry; // no inline_payload: `payload` holds it
+        std::vector<std::uint8_t> payload;
     };
     std::deque<pending_retransmit> rtx_queue_;
     std::set<std::tuple<wire::ipv4_addr, wire::experiment_id, std::uint16_t, std::uint64_t>>

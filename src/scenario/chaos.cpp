@@ -396,12 +396,10 @@ chaos_result summarize(chaos_testbed& tbr)
     if (tb->tracer) {
         auto& tr = *tb->tracer;
         const auto buf2_site = tr.site("buf2");
-        for (const auto& ev : tr.events()) {
-            if (ev.kind == trace::hop::mmtp_retransmit && ev.site == buf2_site) {
-                r.traced_sequence = ev.arg;
-                break;
-            }
-        }
+        if (const auto* ev = tr.find_first([&](const trace::record& e) {
+                return e.kind == trace::hop::mmtp_retransmit && e.site == buf2_site;
+            }))
+            r.traced_sequence = ev->arg;
         if (r.traced_sequence != std::uint64_t(-1)) {
             r.hop_timeline = tr.format_timeline(tr.message_timeline(r.traced_sequence));
             r.traversed_backup =

@@ -331,21 +331,15 @@ overload_result summarize(overload_testbed& tbr)
     if (tb->tracer) {
         auto& tr = *tb->tracer;
         const auto wan_site = tr.site("wan");
-        std::uint64_t shed_pid = 0;
-        for (const auto& ev : tr.events()) {
-            if (ev.kind == trace::hop::link_drop && ev.site == wan_site
-                && ev.why == trace::reason::deadline_shed) {
-                shed_pid = ev.packet_id;
-                break;
-            }
-        }
-        if (shed_pid != 0) {
-            for (const auto& ev : tr.events()) {
-                if (ev.kind == trace::hop::sw_seq_insert && ev.packet_id == shed_pid) {
-                    r.traced_sequence = ev.arg;
-                    break;
-                }
-            }
+        const auto* shed = tr.find_first([&](const trace::record& e) {
+            return e.kind == trace::hop::link_drop && e.site == wan_site
+                && e.why == trace::reason::deadline_shed;
+        });
+        if (shed && shed->packet_id != 0) {
+            if (const auto* ev = tr.find_first([&](const trace::record& e) {
+                    return e.kind == trace::hop::sw_seq_insert && e.packet_id == shed->packet_id;
+                }))
+                r.traced_sequence = ev->arg;
         }
         if (r.traced_sequence != std::uint64_t(-1))
             r.hop_timeline = tr.format_timeline(tr.message_timeline(r.traced_sequence));

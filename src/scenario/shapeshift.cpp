@@ -211,7 +211,7 @@ shapeshift_result summarize(shapeshift_testbed& tbr)
     // The reconfiguration story, span by span.
     if (tb->tracer) {
         std::vector<trace::record> spans;
-        for (const auto& ev : tb->tracer->events()) {
+        tb->tracer->for_each([&](const trace::record& ev) {
             switch (ev.kind) {
             case trace::hop::ctl_reconfig_planned:
             case trace::hop::ctl_reconfig_installed:
@@ -219,7 +219,7 @@ shapeshift_result summarize(shapeshift_testbed& tbr)
             case trace::hop::ctl_reconfig_aborted: spans.push_back(ev); break;
             default: break;
             }
-        }
+        });
         r.reconfig_timeline = tb->tracer->format_timeline(spans);
     }
     return r;

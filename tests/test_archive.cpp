@@ -352,9 +352,10 @@ TEST(archive, chunk_disagreeing_with_index_yields_nothing)
             EXPECT_EQ(r->read_at(exp, i).has_value(), i < 4 || i >= 8) << i;
 
         dtn::durable_store store(256, blob);
-        const auto rec = store.recover();
         std::vector<std::uint64_t> recovered;
-        for (const auto& d : rec.records) recovered.push_back(d.sequence);
+        const auto rec =
+            store.recover([&](const dtn::buffered_datagram& d) { recovered.push_back(d.sequence); });
+        EXPECT_EQ(rec.records, recovered.size());
         EXPECT_EQ(recovered, survivors);
         EXPECT_EQ(store.durable_records(), survivors.size());
     }

@@ -25,6 +25,19 @@ buffered_datagram make_entry(std::uint64_t seq, std::uint32_t size = 1000,
     return d;
 }
 
+/// fetch_range's records in order; their payload views last until the
+/// buffer's next call.
+std::vector<buffered_datagram> range_of(retransmission_buffer& buf,
+                                        wire::experiment_id experiment, std::uint16_t epoch,
+                                        std::uint64_t first, std::uint64_t last, sim_time now)
+{
+    std::vector<buffered_datagram> out;
+    const auto found = buf.fetch_range(experiment, epoch, first, last, now,
+                                       [&](const buffered_datagram& d) { out.push_back(d); });
+    EXPECT_EQ(found, out.size());
+    return out;
+}
+
 } // namespace
 
 TEST(buffer, store_fetch_hit_and_miss)
@@ -46,7 +59,7 @@ TEST(buffer, fetch_range_returns_contiguous_present)
 {
     retransmission_buffer buf;
     for (std::uint64_t s : {1, 2, 3, 5, 6}) buf.store(make_entry(s), sim_time{0});
-    const auto got = buf.fetch_range(42, 0, 2, 5, sim_time{0});
+    const auto got = range_of(buf, 42, 0, 2, 5, sim_time{0});
     ASSERT_EQ(got.size(), 3u);
     EXPECT_EQ(got[0].sequence, 2u);
     EXPECT_EQ(got[1].sequence, 3u);
@@ -99,7 +112,7 @@ TEST(buffer, streams_are_isolated_by_experiment)
     buf.store(make_entry(1, 100, 1), sim_time{0});
     buf.store(make_entry(1, 100, 2), sim_time{0});
     EXPECT_EQ(buf.entries(), 2u);
-    const auto r1 = buf.fetch_range(1, 0, 0, 10, sim_time{0});
+    const auto r1 = range_of(buf, 1, 0, 0, 10, sim_time{0});
     ASSERT_EQ(r1.size(), 1u);
     EXPECT_EQ(r1[0].experiment, 1u);
 }
@@ -151,7 +164,7 @@ TEST(buffer, sparse_stream_is_two_records)
     retransmission_buffer buf;
     buf.store(make_entry(0), sim_time{0});
     buf.store(make_entry(far), sim_time{0});
-    const auto got = buf.fetch_range(42, 0, 0, (1ull << 48) - 1, sim_time{0});
+    const auto got = range_of(buf, 42, 0, 0, (1ull << 48) - 1, sim_time{0});
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].sequence, 0u);
     EXPECT_EQ(got[1].sequence, far);
@@ -162,6 +175,18 @@ TEST(buffer, sparse_stream_is_two_records)
 
 namespace {
 
+/// A datagram with its own copy of the inline bytes.
+struct owned_datagram {
+    buffered_datagram d; // inline_payload unused: see payload
+    std::vector<std::uint8_t> payload;
+
+    explicit owned_datagram(const buffered_datagram& from)
+        : d(from), payload(from.inline_payload.begin(), from.inline_payload.end())
+    {
+        d.inline_payload = {};
+    }
+};
+
 /// The ordered-map buffer the sequence-indexed one replaced, with the
 /// same ticket rule: a FIFO entry is live only while its key holds the
 /// record stored under that entry's ticket.
@@ -169,26 +194,26 @@ class reference_buffer {
 public:
     explicit reference_buffer(buffer_config cfg) : cfg_(cfg) {}
 
-    void store(buffered_datagram d, sim_time now)
+    void store(const buffered_datagram& in, sim_time now)
     {
-        const key k{d.experiment, d.epoch, d.sequence};
+        owned_datagram d(in);
+        const key k{d.d.experiment, d.d.epoch, d.d.sequence};
         auto it = by_key_.find(k);
         if (it != by_key_.end()) {
-            bytes_ -= it->second.d.size_bytes;
+            bytes_ -= it->second.d.d.size_bytes;
             by_key_.erase(it);
         }
-        d.stored_at = now;
-        bytes_ += d.size_bytes;
+        d.d.stored_at = now;
+        bytes_ += d.d.size_bytes;
         stats_.stored++;
         if (bytes_ > stats_.peak_bytes) stats_.peak_bytes = bytes_;
-        by_key_[k] = {std::move(d), ++next_ticket_};
+        by_key_.emplace(k, record{std::move(d), ++next_ticket_});
         fifo_.push_back({k, next_ticket_});
         evict(now);
     }
 
-    std::optional<buffered_datagram> fetch(wire::experiment_id experiment,
-                                           std::uint16_t epoch, std::uint64_t sequence,
-                                           sim_time now)
+    std::optional<owned_datagram> fetch(wire::experiment_id experiment, std::uint16_t epoch,
+                                        std::uint64_t sequence, sim_time now)
     {
         evict(now);
         auto it = by_key_.find(key{experiment, epoch, sequence});
@@ -200,12 +225,12 @@ public:
         return it->second.d;
     }
 
-    std::vector<buffered_datagram> fetch_range(wire::experiment_id experiment,
-                                               std::uint16_t epoch, std::uint64_t first,
-                                               std::uint64_t last, sim_time now)
+    std::vector<owned_datagram> fetch_range(wire::experiment_id experiment,
+                                            std::uint16_t epoch, std::uint64_t first,
+                                            std::uint64_t last, sim_time now)
     {
         evict(now);
-        std::vector<buffered_datagram> out;
+        std::vector<owned_datagram> out;
         for (auto it = by_key_.lower_bound(key{experiment, epoch, first});
              it != by_key_.end(); ++it) {
             if (it->first.experiment != experiment || it->first.epoch != epoch) break;
@@ -231,7 +256,7 @@ private:
         auto operator<=>(const key&) const = default;
     };
     struct record {
-        buffered_datagram d;
+        owned_datagram d;
         std::uint64_t ticket;
     };
 
@@ -244,10 +269,10 @@ private:
                 fifo_.pop_front();
                 continue;
             }
-            const bool too_old = (now - it->second.d.stored_at).ns > cfg_.retention.ns;
+            const bool too_old = (now - it->second.d.d.stored_at).ns > cfg_.retention.ns;
             const bool over_capacity = bytes_ > cfg_.capacity_bytes;
             if (!too_old && !over_capacity) break;
-            bytes_ -= it->second.d.size_bytes;
+            bytes_ -= it->second.d.d.size_bytes;
             if (too_old)
                 stats_.evicted_retention++;
             else
@@ -265,15 +290,16 @@ private:
     buffer_stats stats_;
 };
 
-void expect_same(const buffered_datagram& got, const buffered_datagram& want)
+void expect_same(const buffered_datagram& got, const owned_datagram& want)
 {
-    EXPECT_EQ(got.sequence, want.sequence);
-    EXPECT_EQ(got.epoch, want.epoch);
-    EXPECT_EQ(got.experiment, want.experiment);
-    EXPECT_EQ(got.timestamp_ns, want.timestamp_ns);
-    EXPECT_EQ(got.size_bytes, want.size_bytes);
-    EXPECT_EQ(got.inline_payload, want.inline_payload);
-    EXPECT_EQ(got.stored_at.ns, want.stored_at.ns);
+    EXPECT_EQ(got.sequence, want.d.sequence);
+    EXPECT_EQ(got.epoch, want.d.epoch);
+    EXPECT_EQ(got.experiment, want.d.experiment);
+    EXPECT_EQ(got.timestamp_ns, want.d.timestamp_ns);
+    EXPECT_EQ(got.size_bytes, want.d.size_bytes);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.inline_payload.begin(), got.inline_payload.end()),
+              want.payload);
+    EXPECT_EQ(got.stored_at.ns, want.d.stored_at.ns);
 }
 
 void expect_same_state(const retransmission_buffer& got, const reference_buffer& want)
@@ -288,37 +314,58 @@ void expect_same_state(const retransmission_buffer& got, const reference_buffer&
     EXPECT_EQ(got.bytes_used(), want.bytes_used());
 }
 
+/// Inline payload lengths a store draws from: the 0 and 24 bytes the
+/// workloads relay, 1, either side of the 8-byte padding unit, and
+/// (one store in 50) either side of the longest payload a block holds.
+std::size_t payload_length(auto& pick)
+{
+    constexpr std::size_t room = retransmission_buffer::max_inline_bytes;
+    constexpr std::size_t lengths[] = {0, 1, 7, 8, 9, 24, 25, room - 1, room, room + 1};
+    return pick(50) == 0 ? lengths[7 + pick(3)] : lengths[pick(7)];
+}
+
+/// The operation mix of one differential run.
+struct mix {
+    std::uint64_t streams{6};
+    /// Operations per 1,000 that empty both buffers: half jump past the
+    /// retention so every record ages out (each stream is released, and
+    /// later stores reuse it), half rebuild both buffers the way
+    /// buffer_service::crash() does.
+    std::uint64_t restarts_per_mille{10};
+};
+
 /// Drives both buffers through one seeded random mix of appends,
-/// replacements, out-of-order and sparse stores, fetches, range fetches
-/// and sweeps over six streams, comparing after every operation.
-void run_differential(std::uint64_t seed, buffer_config cfg, int ops)
+/// replacements, out-of-order and sparse stores, fetches, range fetches,
+/// sweeps and restarts, comparing after every operation.
+void run_differential(std::uint64_t seed, buffer_config cfg, int ops, mix m = {})
 {
     constexpr std::uint64_t max_seq = (1ull << 48) - 1;
     std::mt19937_64 rng(seed);
     auto pick = [&](std::uint64_t n) { return rng() % n; };
     retransmission_buffer got(cfg);
     reference_buffer want(cfg);
-    std::vector<std::vector<std::uint64_t>> stored(6); // per stream, for re-stores
-    std::vector<std::uint64_t> next(6, 0);
+    std::vector<std::vector<std::uint64_t>> stored(m.streams); // per stream, for re-stores
+    std::vector<std::uint64_t> next(m.streams, 0);
+    std::vector<std::uint8_t> bytes;
     sim_time now{0};
 
     for (int op = 0; op < ops; ++op) {
         SCOPED_TRACE("seed " + std::to_string(seed) + " op " + std::to_string(op));
         now.ns += static_cast<std::int64_t>(pick(2000));
-        const auto st = pick(6);
+        const auto st = pick(m.streams);
         const auto experiment = static_cast<wire::experiment_id>(1 + st / 2);
         const auto epoch = static_cast<std::uint16_t>(st % 2);
         auto& seqs = stored[st];
         auto known = [&] { return seqs.empty() ? pick(64) : seqs[pick(seqs.size())]; };
-        const auto roll = pick(100);
+        const auto roll = pick(1000);
 
-        if (roll < 60) {
+        if (roll < 600) {
             std::uint64_t seq = 0;
-            if (roll < 40 || seqs.empty()) {
+            if (roll < 400 || seqs.empty()) {
                 seq = next[st]; // in order
-            } else if (roll < 48) {
+            } else if (roll < 480) {
                 seq = known(); // same-key re-store
-            } else if (roll < 56) {
+            } else if (roll < 560) {
                 seq = next[st] > 0 ? pick(next[st]) : 0; // out of order
             } else {
                 seq = next[st] + pick(max_seq - next[st] + 1); // sparse jump
@@ -327,29 +374,40 @@ void run_differential(std::uint64_t seed, buffer_config cfg, int ops)
             seqs.push_back(seq);
             auto d = make_entry(seq, 100 + static_cast<std::uint32_t>(pick(1900)),
                                 experiment, epoch);
-            d.inline_payload.assign(pick(4), static_cast<std::uint8_t>(op));
+            bytes.resize(payload_length(pick));
+            for (std::size_t i = 0; i < bytes.size(); ++i)
+                bytes[i] = static_cast<std::uint8_t>(op + i);
+            d.inline_payload = bytes;
             got.store(d, now);
-            want.store(std::move(d), now);
-        } else if (roll < 80) {
+            want.store(d, now);
+        } else if (roll < 800) {
             const auto seq = known();
             const auto a = got.fetch(experiment, epoch, seq, now);
             const auto b = want.fetch(experiment, epoch, seq, now);
             ASSERT_EQ(a.has_value(), b.has_value());
             if (a) expect_same(*a, *b);
-        } else if (roll < 95) {
+        } else if (roll < 950) {
             std::uint64_t first = known();
             std::uint64_t last = first + pick(64);
-            if (roll >= 92) {
+            if (roll >= 920) {
                 first = 0;
                 last = max_seq;
             }
-            const auto a = got.fetch_range(experiment, epoch, first, last, now);
+            const auto a = range_of(got, experiment, epoch, first, last, now);
             const auto b = want.fetch_range(experiment, epoch, first, last, now);
             ASSERT_EQ(a.size(), b.size());
             for (std::size_t i = 0; i < a.size(); ++i) expect_same(a[i], b[i]);
-        } else {
+        } else if (roll < 1000 - m.restarts_per_mille) {
             got.sweep(now);
             want.sweep(now);
+        } else if (roll % 2 == 0) {
+            now.ns += cfg.retention.ns + 1;
+            got.sweep(now);
+            want.sweep(now);
+            EXPECT_EQ(got.entries(), 0u);
+        } else {
+            got = retransmission_buffer(cfg);
+            want = reference_buffer(cfg);
         }
         expect_same_state(got, want);
         if (::testing::Test::HasFailure()) return;
@@ -378,4 +436,15 @@ TEST(buffer, matches_reference_model_under_both_limits)
     cfg.retention = sim_duration{200000};
     cfg.capacity_bytes = 60000;
     for (std::uint64_t seed = 21; seed <= 24; ++seed) run_differential(seed, cfg, 20000);
+}
+
+// Two streams hold thousands of records each, so their slots span
+// several blocks and the log many more, while records age out from the
+// front; no restarts.
+TEST(buffer, matches_reference_model_across_blocks)
+{
+    buffer_config cfg;
+    cfg.retention = sim_duration{16000000}; // about 16,000 operations
+    for (std::uint64_t seed = 31; seed <= 32; ++seed)
+        run_differential(seed, cfg, 40000, mix{2, 0});
 }

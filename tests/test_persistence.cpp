@@ -16,6 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <span>
+#include <vector>
+
 using namespace mmtp;
 using namespace mmtp::core;
 using namespace mmtp::netsim;
@@ -23,6 +28,18 @@ using namespace mmtp::literals;
 
 namespace {
 
+/// Bytes 0..255 twice: the inline payloads below view a window of it.
+const std::array<std::uint8_t, 512>& byte_ramp()
+{
+    static const auto ramp = [] {
+        std::array<std::uint8_t, 512> r{};
+        for (std::size_t i = 0; i < r.size(); ++i) r[i] = static_cast<std::uint8_t>(i);
+        return r;
+    }();
+    return ramp;
+}
+
+/// A record whose inline payload byte i is (seq + i) mod 256.
 dtn::buffered_datagram make_buffered(std::uint64_t seq, wire::experiment_id exp,
                                      std::uint16_t epoch = 0, std::size_t payload_len = 16)
 {
@@ -32,10 +49,33 @@ dtn::buffered_datagram make_buffered(std::uint64_t seq, wire::experiment_id exp,
     d.experiment = exp;
     d.timestamp_ns = seq * 100;
     d.size_bytes = 1000;
-    d.inline_payload.resize(payload_len);
-    for (std::size_t i = 0; i < payload_len; ++i)
-        d.inline_payload[i] = static_cast<std::uint8_t>(seq + i);
+    d.inline_payload = std::span(byte_ramp()).subspan(seq % 256, payload_len);
     return d;
+}
+
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> s)
+{
+    return {s.begin(), s.end()};
+}
+
+/// What recover() handed out, each record copied out of its callback.
+struct recovered {
+    std::vector<dtn::buffered_datagram> records; // payloads in `payloads`
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::map<wire::experiment_id, std::uint64_t> next_sequences;
+};
+
+recovered recover_all(dtn::durable_store& store)
+{
+    recovered out;
+    const auto rec = store.recover([&](const dtn::buffered_datagram& d) {
+        out.records.push_back(d);
+        out.records.back().inline_payload = {};
+        out.payloads.push_back(bytes_of(d.inline_payload));
+    });
+    EXPECT_EQ(rec.records, out.records.size());
+    out.next_sequences = rec.next_sequences;
+    return out;
 }
 
 } // namespace
@@ -62,12 +102,12 @@ TEST(durable_store, crash_loses_exactly_the_unsealed_tail)
     EXPECT_FALSE(store.append(make_buffered(99, exp)));
     EXPECT_EQ(store.stats().rejected, 1u);
 
-    const auto rec = store.recover();
+    const auto rec = recover_all(store);
     ASSERT_EQ(rec.records.size(), 8u);
     for (std::uint64_t i = 0; i < 8; ++i) {
         EXPECT_EQ(rec.records[i].sequence, i);
         EXPECT_EQ(rec.records[i].experiment, exp);
-        EXPECT_EQ(rec.records[i].inline_payload, make_buffered(i, exp).inline_payload);
+        EXPECT_EQ(rec.payloads[i], bytes_of(make_buffered(i, exp).inline_payload));
     }
     // No journal was sealed, so next-sequence derives from the records.
     ASSERT_EQ(rec.next_sequences.count(exp), 1u);
@@ -97,7 +137,7 @@ TEST(durable_store, seal_makes_partial_chunks_and_journal_durable)
     store.note_sequence(exp, 600);
     EXPECT_EQ(store.crash(), 1u);
 
-    const auto rec = store.recover();
+    const auto rec = recover_all(store);
     ASSERT_EQ(rec.records.size(), 5u);
     EXPECT_EQ(rec.records[0].epoch, 3u); // epoch round-trips via the payload prefix
     // Journalled 500 beats max(sequence)+1 = 5; the unsealed 600 is gone.
@@ -114,12 +154,12 @@ TEST(durable_store, survives_repeated_crash_recover_cycles)
 
     for (std::uint64_t i = 0; i < 8; ++i) store.append(make_buffered(i, exp));
     EXPECT_EQ(store.crash(), 0u); // 8 = two full chunks, nothing open
-    EXPECT_EQ(store.recover().records.size(), 8u);
+    EXPECT_EQ(recover_all(store).records.size(), 8u);
 
     // Keep accumulating into the recovered store, crash again.
     for (std::uint64_t i = 8; i < 12; ++i) store.append(make_buffered(i, exp));
     EXPECT_EQ(store.crash(), 0u);
-    const auto rec = store.recover();
+    const auto rec = recover_all(store);
     EXPECT_EQ(rec.records.size(), 12u);
     EXPECT_EQ(rec.next_sequences.at(exp), 12u);
     EXPECT_EQ(store.stats().crashes, 2u);
@@ -131,7 +171,7 @@ TEST(durable_store, survives_repeated_crash_recover_cycles)
     store.crash();
     EXPECT_EQ(store.stats().crashes, 3u);
     store.recover();
-    const auto empty = store.recover();
+    const auto empty = recover_all(store);
     EXPECT_TRUE(empty.records.empty());
     EXPECT_EQ(store.stats().recoveries, 3u);
 }
@@ -146,7 +186,7 @@ TEST(durable_store, recovery_keeps_experiments_separate)
     for (std::uint64_t i = 0; i < 4; ++i) store.append(make_buffered(i, a));
     for (std::uint64_t i = 100; i < 102; ++i) store.append(make_buffered(i, b, 7));
     store.crash();
-    const auto rec = store.recover();
+    const auto rec = recover_all(store);
     ASSERT_EQ(rec.records.size(), 6u);
     EXPECT_EQ(rec.next_sequences.at(a), 4u);
     EXPECT_EQ(rec.next_sequences.at(b), 102u);
