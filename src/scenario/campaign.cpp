@@ -245,8 +245,8 @@ scenario_spec generate(std::uint64_t seed)
         // The fault must land mid-transfer and the flush after the tail.
         const std::int64_t span =
             std::int64_t(c.messages) * c.message_interval.ns;
-        c.fault_at = sim_time{c.first_message.ns + span / 3};
-        c.flush_at = sim_time{c.first_message.ns + span + 5000000};
+        c.fault_at = sim_time{chaos_first_message.ns + span / 3};
+        c.flush_at = sim_time{chaos_first_message.ns + span + 5000000};
         c.trace = r.coin();
         c.persist = r.coin();
     } else if (s.topology == "shapeshift") {
@@ -256,11 +256,11 @@ scenario_spec generate(std::uint64_t seed)
         const std::int64_t span =
             std::int64_t(c.messages) * c.message_interval.ns;
         // The burst degrades the span while traffic is flowing.
-        c.burst_at = sim_time{c.first_message.ns + span / 4};
+        c.burst_at = sim_time{shapeshift_first_message.ns + span / 4};
         c.burst_duration = sim_duration{std::int64_t(r.range(1, 2)) * 1000000};
         static const double bers[] = {0.00001, 0.00002, 0.00003};
         c.burst_ber = r.pick(bers);
-        const std::int64_t flush = c.first_message.ns + span + 1000000;
+        const std::int64_t flush = shapeshift_first_message.ns + span + 1000000;
         if (flush > c.flush_at.ns) c.flush_at = sim_time{flush};
         if (c.flush_at.ns + 25000000 > c.poll_until.ns)
             c.poll_until = sim_time{c.flush_at.ns + 25000000};

@@ -10,6 +10,32 @@ namespace {
 constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
 
+// The drill's fixed operating point; chaos_config holds what programs vary.
+/// WAN span (both primary and backup).
+constexpr data_rate wan_rate = data_rate::from_gbps(10);
+constexpr sim_duration wan_delay{1000000}; // 1 ms one way
+constexpr std::uint64_t wan_queue_bytes = 8ull * 1024 * 1024;
+/// How long after fault_at the switch's feed span to buf1 is cut. The
+/// gap keeps the feed carrying traffic into the dead node for a moment —
+/// clones and the first NAK reach buf1 and are dropped at its ingress —
+/// before the control plane sees the span go dark.
+constexpr sim_duration feed_cut_after{3000000}; // 3 ms
+/// Recovery probing cadence (the horizon is chaos_probe_deadline).
+constexpr sim_duration probe_interval{500000}; // 500 us
+/// Receiver NAK budget and failover threshold; the retry base and cap
+/// are timing_profile's 5 ms and 40 ms (the base exceeds the rx→buffer
+/// RTT).
+constexpr std::uint32_t max_nak_attempts = 6;
+constexpr std::uint32_t failover_attempts = 2;
+/// Rate the flow is admitted at (fits the WAN budgets).
+constexpr data_rate planned_rate = data_rate::from_gbps(8);
+/// Flight-recorder ring capacity in records: the whole drill without
+/// overwrites.
+constexpr std::size_t trace_capacity = 1u << 17;
+/// Records per archive chunk on buf1's store (the seal granularity:
+/// smaller chunks = smaller unsealed-tail loss window).
+constexpr std::uint32_t persist_chunk_records = 64;
+
 /// The drill's one metrics list: every layer reports into one place.
 void register_metrics(telemetry::metrics_registry& reg, chaos_testbed& tb)
 {
@@ -43,8 +69,8 @@ chaos_config kill_revive_config()
     cfg.burst_duration = sim_duration{1000000};
     cfg.burst_ber = 2e-6;
     cfg.flush2_at = sim_time{36000000};
-    // failover_attempts stays at the classic 2: phase A must fail over
-    // to buf2 (~17 ms) well before buf2 itself dies at 25 ms. A
+    // The failover threshold of 2 attempts makes phase A fail over to
+    // buf2 (~17 ms) well before buf2 itself dies at 25 ms. A
     // corrupted second-wave retransmission cannot re-fail the stream
     // over to the dead buf2, because the 5 ms NAK retry base puts every
     // second attempt past the 1 ms burst.
@@ -73,9 +99,9 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     clean.propagation = sim_duration{1000};
 
     netsim::link_config wan;
-    wan.rate = cfg.wan_rate;
-    wan.propagation = cfg.wan_delay;
-    wan.queue_capacity_bytes = cfg.wan_queue_bytes;
+    wan.rate = wan_rate;
+    wan.propagation = wan_delay;
+    wan.queue_capacity_bytes = wan_queue_bytes;
 
     const auto [src_uplink_port, _s] = net.connect(*tb->src, *tb->tofino, clean);
     tb->wan_primary_port = net.connect_simplex(*tb->tofino, *tb->rx_host, wan);
@@ -94,7 +120,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 
     // --- observability: flight recorder sites ---
     if (cfg.trace) {
-        tb->tracer = std::make_unique<trace::flight_recorder>(cfg.trace_capacity);
+        tb->tracer = std::make_unique<trace::flight_recorder>(trace_capacity);
         tb->tracer_install = std::make_unique<trace::scoped_recorder>(*tb->tracer);
         auto& tr = *tb->tracer;
         tb->src->egress(src_uplink_port).set_trace_site(tr.site("src-daq"));
@@ -143,7 +169,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     // (and persist = false skips the store entirely). A revive always
     // forces the store — there is nothing to reload without one.
     if (cfg.persist || cfg.revive_at.ns > 0) {
-        tb->buf1_store = std::make_unique<dtn::durable_store>(cfg.persist_chunk_records);
+        tb->buf1_store = std::make_unique<dtn::durable_store>(persist_chunk_records);
         b1.persist = tb->buf1_store.get();
     }
     tb->buf1_stack = std::make_unique<core::stack>(*tb->buf1, net.ids());
@@ -158,10 +184,8 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 
     tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids());
     core::receiver_config r_cfg;
-    r_cfg.timing.retry_base = cfg.nak_retry;
-    r_cfg.timing.retry_cap = cfg.nak_retry_cap;
-    r_cfg.timing.max_attempts = cfg.max_nak_attempts;
-    r_cfg.timing.failover_attempts = cfg.failover_attempts;
+    r_cfg.timing.max_attempts = max_nak_attempts;
+    r_cfg.timing.failover_attempts = failover_attempts;
     tb->rx = std::make_unique<core::receiver>(*tb->rx_stack, r_cfg);
     // The fallback buffer is *learned*, not configured: buf1's advert
     // names buf2 as the secondary holding the same streams.
@@ -182,9 +206,9 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     // --- failure-aware control plane ---
     auto& planner = tb->planner;
     planner.register_link("daq", data_rate::from_gbps(100));
-    planner.register_link("wan-primary", cfg.wan_rate);
-    planner.register_link("wan-backup", cfg.wan_rate);
-    tb->flow = planner.admit({"daq", "wan-primary"}, cfg.planned_rate).value_or(0);
+    planner.register_link("wan-primary", wan_rate);
+    planner.register_link("wan-backup", wan_rate);
+    tb->flow = planner.admit({"daq", "wan-primary"}, planned_rate).value_or(0);
     planner.register_backup_path(tb->flow, {"daq", "wan-backup"});
     planner.set_reroute_handler(
         [tbp = tb.get()](const control::admission& flow, bool rerouted) {
@@ -209,7 +233,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
 
     // --- traffic, advert, flush ---
     daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,
-                              cfg.first_message, cfg.messages);
+                              chaos_first_message, cfg.messages);
     tb->messages_scheduled = tb->tx->drive(source);
     if (cfg.messages2 > 0 && cfg.second_wave_at.ns > 0) {
         daq::steady_source wave2(drill_stream, cfg.message_bytes, cfg.message_interval,
@@ -240,7 +264,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     tb->faults->blackout_node(*tb->buf1, cfg.fault_at);
     // The feed span dies a beat later: until then clones and the first
     // NAK still reach the dead node and are dropped at its ingress.
-    tb->faults->fail_link_at(*tb->buf1_feed, cfg.fault_at + cfg.feed_cut_after);
+    tb->faults->fail_link_at(*tb->buf1_feed, cfg.fault_at + feed_cut_after);
 
     // --- the kill-and-revive phase (ISSUE 7) ---
     if (cfg.revive_at.ns > 0) {
@@ -278,7 +302,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
     }
 
     // --- recovery measurement ---
-    tb->recovery = std::make_unique<telemetry::recovery_tracker>(eng, cfg.probe_interval);
+    tb->recovery = std::make_unique<telemetry::recovery_tracker>(eng, probe_interval);
     tb->recovery->arm(
         cfg.fault_at,
         [tbp = tb.get()] {
@@ -287,11 +311,11 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
             return tbp->rx->stats().buffer_failovers >= 1
                 && tbp->rx->outstanding_gaps() == 0;
         },
-        cfg.fault_at + cfg.probe_deadline);
+        cfg.fault_at + chaos_probe_deadline);
 
     if (cfg.revive_at.ns > 0 && cfg.fault2_at.ns > 0) {
         tb->recovery2 =
-            std::make_unique<telemetry::recovery_tracker>(eng, cfg.probe_interval);
+            std::make_unique<telemetry::recovery_tracker>(eng, probe_interval);
         const std::uint64_t total = cfg.messages + cfg.messages2;
         tb->recovery2->arm(
             cfg.fault2_at,
@@ -303,7 +327,7 @@ std::unique_ptr<chaos_testbed> make_chaos(const chaos_config& cfg)
                     && tbp->rx->stats().datagrams >= total
                     && tbp->rx->outstanding_gaps() == 0;
             },
-            cfg.fault2_at + cfg.probe_deadline);
+            cfg.fault2_at + chaos_probe_deadline);
     }
 
     return tb;

@@ -47,46 +47,28 @@
 
 namespace mmtp::scenario {
 
+/// What a chaos drill varies: the traffic window, the fault and flush
+/// instants, tracing and persistence (campaign::generate), the
+/// kill-and-revive script (kill_revive_config()) and recording
+/// (chaos_replay). Everything else — the spans, the recovery schedule,
+/// the planned rate — is one operating point, fixed in chaos.cpp.
 struct chaos_config {
     std::uint64_t seed{42};
-    /// WAN span (both primary and backup).
-    data_rate wan_rate{data_rate::from_gbps(10)};
-    sim_duration wan_delay{sim_duration{1000000}}; // 1 ms one way
-    std::uint64_t wan_queue_bytes{8ull * 1024 * 1024};
     /// Fixed-size DAQ messages, injected unpaced so the WAN egress queue
     /// holds a backlog when the fault hits (the stranded packets are the
     /// loss the drill must recover).
     std::uint32_t message_bytes{8192};
     std::uint64_t messages{1000};
     sim_duration message_interval{sim_duration{4000}}; // 4 us
-    sim_time first_message{sim_time{100000}};          // 100 us
     /// The instant the primary WAN link and buf1 itself fail
     /// (mid-transfer with the defaults above).
     sim_time fault_at{sim_time{2000000}}; // 2 ms
-    /// How long after `fault_at` the switch's feed span to buf1 is cut.
-    /// The gap keeps the feed carrying traffic into the dead node for a
-    /// moment — clones and the first NAK reach buf1 and are dropped at
-    /// its ingress — before the control plane sees the span go dark.
-    sim_duration feed_cut_after{sim_duration{3000000}}; // 3 ms
     /// End-of-window flush revealing any tail loss (after the last
     /// message has been injected).
     sim_time flush_at{sim_time{8000000}}; // 8 ms
-    /// Recovery probing cadence and give-up horizon (after fault_at).
-    sim_duration probe_interval{sim_duration{500000}};    // 500 us
-    sim_duration probe_deadline{sim_duration{500000000}}; // 500 ms
-    /// Receiver recovery knobs (base must exceed the rx→buffer RTT).
-    sim_duration nak_retry{sim_duration{5000000}};      // 5 ms
-    sim_duration nak_retry_cap{sim_duration{40000000}}; // 40 ms
-    std::uint32_t max_nak_attempts{6};
-    std::uint32_t failover_attempts{2};
-    /// Rate the flow is admitted at (must fit the WAN budgets).
-    data_rate planned_rate{data_rate::from_gbps(8)};
     /// Install a flight recorder and name every site, so the result can
     /// show a failed-over message's hop-by-hop timeline.
     bool trace{true};
-    /// Ring capacity in records (rounded up to a power of two). The
-    /// default holds the whole drill without overwrites.
-    std::size_t trace_capacity{1u << 17};
     /// Write buf1 through a durable store. Required (and forced) when
     /// revive_at > 0 — a revive without an archive has nothing to reload.
     bool persist{true};
@@ -100,9 +82,6 @@ struct chaos_config {
     // state dies, its unsealed archive tail is lost and counted) and the
     // restore a genuine revive (reload the archive, re-advertise, serve
     // NAKs for messages the — by then blacked-out — secondary never saw).
-    /// Records per archive chunk on buf1's store (the seal granularity:
-    /// smaller chunks = smaller unsealed-tail loss window).
-    std::uint32_t persist_chunk_records{64};
     /// The secondary buffer (buf2) is blacked out and its feed cut here
     /// (0 = never) — from now on only a revived buf1 can answer NAKs.
     sim_time fault2_at{sim_time{0}};
@@ -124,7 +103,15 @@ struct chaos_config {
     /// Capture the finished run (trace + metrics + report) into
     /// chaos_result::recording for archive-based replay.
     bool record{false};
+
+    bool operator==(const chaos_config&) const = default;
 };
+
+/// When the first message leaves the source; campaign::generate places
+/// the fault and the flush relative to it.
+inline constexpr sim_time chaos_first_message{100000}; // 100 us
+/// Recovery probing gives up this long after a fault instant.
+inline constexpr sim_duration chaos_probe_deadline{500000000}; // 500 ms
 
 /// The chaos drill plus the kill-and-revive phase: buf2 dies at 25 ms,
 /// buf1 revives from its archive at 30 ms, a 500-message second wave

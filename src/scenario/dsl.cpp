@@ -130,8 +130,12 @@ bool parse_bool(const std::string& v, bool& out)
     return false;
 }
 
-/// Fractions are plain decimals in [0, 1] ("0.02", "0.000002", "1").
-/// Parsed digit by digit so the result is locale-independent.
+/// Fractions are plain decimals in [0, 1] ("0.02", "0.000002", "1"),
+/// with at most 18 fraction digits. The digits are read as one integer
+/// and divided once by the power of ten: both operands are exact (below
+/// 2^53, which covers every value of up to 15 digits), so the quotient
+/// is the double nearest the decimal — the same value as the C++
+/// literal — and no locale is involved.
 bool parse_fraction(const std::string& v, double& out)
 {
     std::size_t i = 0;
@@ -142,19 +146,20 @@ bool parse_fraction(const std::string& v, double& out)
         if (int_part > 1) return false; // > 1 before the point
         any = true;
     }
-    double frac = 0.0;
+    std::uint64_t digits = 0;
+    double scale = 1.0;
     if (i < v.size() && v[i] == '.') {
         ++i;
-        double scale = 0.1;
-        while (i < v.size() && v[i] >= '0' && v[i] <= '9') {
-            frac += double(v[i++] - '0') * scale;
-            scale *= 0.1;
+        for (unsigned n = 0; i < v.size() && v[i] >= '0' && v[i] <= '9'; ++n) {
+            if (n == 18) return false;
+            digits = digits * 10 + std::uint64_t(v[i++] - '0');
+            scale *= 10.0;
             any = true;
         }
     }
     if (!any || i != v.size()) return false;
-    out = double(int_part) + frac;
-    return out >= 0.0 && out <= 1.0;
+    out = double(int_part) + double(digits) / scale;
+    return out <= 1.0;
 }
 
 /// Renders a fraction as a plain decimal (12 digits, trailing zeros
@@ -420,109 +425,42 @@ binding_table build_bindings(scenario_spec& spec)
         bind_count(t, "traffic", "messages", &o.messages, 1);
         bind_count(t, "traffic", "message_bytes", &o.message_bytes, 1);
         bind_duration(t, "traffic", "message_interval", &o.message_interval, 1);
-        bind_rate(t, "links", "daq_rate", &o.today.daq_rate);
-        bind_rate(t, "links", "wan_rate", &o.today.wan_rate);
         bind_duration(t, "links", "wan_delay", &o.today.wan_delay);
         bind_fraction(t, "links", "wan_loss", &o.today.wan_loss);
-        bind_rate(t, "links", "campus_rate", &o.today.campus_rate);
-        bind_duration(t, "links", "campus_delay", &o.today.campus_delay);
-        bind_size(t, "links", "wan_queue", &o.today.wan_queue_bytes, 1);
         bind_bool(t, "policy", "tuned", &o.today.tuned);
-        bind_rate(t, "policy", "tcp_host_limit", &o.today.tcp_host_limit);
     } else if (spec.topology == "chaos") {
         auto& c = spec.chaos;
         bind_count(t, "traffic", "messages", &c.messages, 1);
         bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
         bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
         bind_count(t, "traffic", "messages2", &c.messages2);
         bind_time(t, "traffic", "second_wave_at", &c.second_wave_at);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
         bind_time(t, "faults", "fault_at", &c.fault_at);
-        bind_duration(t, "faults", "feed_cut_after", &c.feed_cut_after);
         bind_time(t, "faults", "fault2_at", &c.fault2_at);
         bind_time(t, "faults", "revive_at", &c.revive_at);
         bind_time(t, "faults", "burst_at", &c.burst_at);
         bind_duration(t, "faults", "burst_duration", &c.burst_duration);
         bind_fraction(t, "faults", "burst_ber", &c.burst_ber);
-        bind_duration(t, "recovery", "nak_retry", &c.nak_retry, 1);
-        bind_duration(t, "recovery", "nak_retry_cap", &c.nak_retry_cap, 1);
-        bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
-        bind_count(t, "recovery", "failover_attempts", &c.failover_attempts, 1);
-        bind_duration(t, "recovery", "probe_interval", &c.probe_interval, 1);
-        bind_duration(t, "recovery", "probe_deadline", &c.probe_deadline, 1);
         bind_time(t, "recovery", "flush_at", &c.flush_at);
         bind_time(t, "recovery", "flush2_at", &c.flush2_at);
-        bind_rate(t, "policy", "planned_rate", &c.planned_rate);
         bind_bool(t, "persistence", "persist", &c.persist);
-        bind_count(t, "persistence", "chunk_records", &c.persist_chunk_records, 1);
         bind_bool(t, "trace", "enabled", &c.trace);
-        bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
         bind_bool(t, "trace", "record", &c.record);
     } else if (spec.topology == "overload") {
         auto& c = spec.overload;
         bind_count(t, "traffic", "messages", &c.messages, 1);
-        bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
-        bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "band_bytes", &c.band_bytes, 1);
-        bind_size(t, "overload", "bp_low", &c.bp_low_bytes, 1);
-        bind_size(t, "overload", "bp_high", &c.bp_high_bytes, 1);
-        bind_duration(t, "overload", "bp_min_interval", &c.bp_min_interval, 1);
-        bind_count(t, "overload", "bp_level_bands", &c.bp_level_bands, 1);
-        bind_rate(t, "overload", "pace", &c.pace);
-        bind_fraction(t, "overload", "min_pace_fraction", &c.min_pace_fraction);
-        bind_duration(t, "overload", "backpressure_hold", &c.backpressure_hold, 1);
-        bind_fraction(t, "overload", "recovery_step_fraction",
-                      &c.recovery_step_fraction);
-        bind_duration(t, "overload", "recovery_interval", &c.recovery_interval, 1);
-        bind_size(t, "overload", "buffer_capacity", &c.buffer_capacity_bytes, 1);
-        bind_duration(t, "overload", "buffer_retention", &c.buffer_retention, 1);
-        bind_rate(t, "overload", "retransmit_pace", &c.retransmit_pace);
-        bind_size(t, "overload", "occupancy_high", &c.occupancy_high_bytes, 1);
-        bind_size(t, "overload", "occupancy_low", &c.occupancy_low_bytes, 1);
-        bind_duration(t, "overload", "pressure_poll", &c.pressure_poll, 1);
-        bind_time(t, "overload", "poll_until", &c.poll_until);
-        bind_time(t, "overload", "second_flow_at", &c.second_flow_at);
-        bind_rate(t, "overload", "second_flow_rate", &c.second_flow_rate);
-        bind_duration(t, "recovery", "nak_retry", &c.nak_retry, 1);
-        bind_duration(t, "recovery", "nak_retry_cap", &c.nak_retry_cap, 1);
-        bind_count(t, "recovery", "max_nak_attempts", &c.max_nak_attempts, 1);
-        bind_duration(t, "recovery", "flush_check", &c.flush_check, 1);
-        bind_duration(t, "recovery", "probe_interval", &c.probe_interval, 1);
-        bind_duration(t, "recovery", "probe_deadline", &c.probe_deadline, 1);
-        bind_count(t, "policy", "deadline_us", &c.deadline_us);
-        bind_rate(t, "policy", "planned_rate", &c.planned_rate);
         bind_bool(t, "trace", "enabled", &c.trace);
-        bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
     } else if (spec.topology == "shapeshift") {
         auto& c = spec.shapeshift;
         bind_count(t, "traffic", "messages", &c.messages, 1);
-        bind_count(t, "traffic", "message_bytes", &c.message_bytes, 1);
         bind_duration(t, "traffic", "message_interval", &c.message_interval, 1);
-        bind_time(t, "traffic", "first_message", &c.first_message);
-        bind_rate(t, "links", "wan_rate", &c.wan_rate);
-        bind_duration(t, "links", "wan_delay", &c.wan_delay);
-        bind_size(t, "links", "wan_queue", &c.wan_queue_bytes, 1);
         bind_time(t, "faults", "burst_at", &c.burst_at);
         bind_duration(t, "faults", "burst_duration", &c.burst_duration);
         bind_fraction(t, "faults", "burst_ber", &c.burst_ber);
         bind_preset(t, "policy", "preset", &c.policy);
-        bind_duration(t, "policy", "poll_interval", &c.poll_interval, 1);
         bind_time(t, "policy", "poll_until", &c.poll_until);
-        bind_duration(t, "policy", "drain_window", &c.drain_window, 1);
-        bind_count(t, "policy", "loss_degrade_threshold",
-                   &c.loss_degrade_threshold, 1);
-        bind_count(t, "policy", "restore_after_clean_polls",
-                   &c.restore_after_clean_polls, 1);
-        bind_count(t, "policy", "deadline_us", &c.deadline_us);
         bind_time(t, "recovery", "flush_at", &c.flush_at);
         bind_bool(t, "trace", "enabled", &c.trace);
-        bind_count(t, "trace", "capacity", &c.trace_capacity, 1);
     } else if (spec.topology == "soak") {
         auto& c = spec.soak;
         bind_count(t, "traffic", "slices_per_experiment",

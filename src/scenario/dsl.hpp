@@ -73,6 +73,8 @@ struct scenario_spec {
     /// Always 1: the simulator runs one engine. `[engine] shards = 1`
     /// still parses because the end-to-end benchmark's specs pin it.
     std::uint32_t shards() const { return 1; }
+
+    bool operator==(const scenario_spec&) const = default;
 };
 
 /// A line-anchored parse diagnostic. line is 1-based; 0 means the error

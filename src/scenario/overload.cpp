@@ -9,6 +9,60 @@ namespace {
 constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
 
+// The drill's fixed operating point; overload_config holds what programs
+// vary.
+/// WAN span: the bottleneck the drill overloads.
+constexpr data_rate wan_rate = data_rate::from_gbps(10);
+constexpr sim_duration wan_delay{1000000}; // 1 ms one way
+/// Per-band byte capacity of the WAN's priority egress queue (also the
+/// capacity the backpressure stage scales severity against).
+constexpr std::uint64_t band_bytes = 2ull * 1024 * 1024;
+/// Fixed-size messages offered at ~2× the WAN rate.
+constexpr std::uint32_t message_bytes = 8192;
+constexpr sim_duration message_interval{3300}; // ~19.9 Gbps offered
+constexpr sim_time first_message{100000};      // 100 us
+/// Timeliness budget stamped by the Tofino's mode rule.
+constexpr std::uint32_t deadline_us = 5000;
+/// The sender's AIMD schedule around overload_pace.
+constexpr double min_pace_fraction = 0.25;
+constexpr sim_duration backpressure_hold{2000000}; // 2 ms
+constexpr double recovery_step_fraction = 0.2;
+constexpr sim_duration recovery_interval{500000}; // 500 us
+/// buf's storage and its occupancy watermarks (clones of every original
+/// land here; retention decay eventually releases pressure). Retention
+/// must outlive the whole recovery tail (gaps behind the load window
+/// retry on the NAK schedule below), and it also sets when occupancy
+/// decays below the low watermark.
+constexpr std::uint64_t buffer_capacity_bytes = 64ull * 1024 * 1024;
+constexpr sim_duration buffer_retention{80000000}; // 80 ms
+constexpr std::uint64_t occupancy_high_bytes = 8ull * 1024 * 1024;
+constexpr std::uint64_t occupancy_low_bytes = 4ull * 1024 * 1024;
+/// Repair traffic is paced below the WAN rate so recovery cannot
+/// re-overload the segment it is repairing.
+constexpr data_rate retransmit_pace = data_rate::from_gbps(8);
+/// Cadence of buf's retention sweep / watermark re-check, and when to
+/// stop polling (bounds the run).
+constexpr sim_duration pressure_poll_interval{1000000}; // 1 ms
+constexpr sim_time poll_until{150000000};               // 150 ms
+/// The second flow's rate (it asks at overload_second_flow_at).
+constexpr data_rate second_flow_rate = data_rate::from_gbps(1);
+/// Receiver recovery. Retransmissions ride the WAN's bulk band *behind*
+/// the deadline traffic, so a gap is often unfillable until the load
+/// window drains — the retry base must be generous or every retry just
+/// duplicates a retransmission already parked in band 1. The retry cap
+/// is timing_profile's 40 ms.
+constexpr sim_duration nak_retry{20000000}; // 20 ms
+constexpr std::uint32_t max_nak_attempts = 8;
+/// End-of-stream detection: once the sender has drained, a flush marker
+/// (re-checked at this cadence) reveals any tail loss.
+constexpr sim_duration flush_check{1000000}; // 1 ms
+/// Recovery probing cadence (the horizon is overload_probe_deadline).
+constexpr sim_duration probe_interval{500000}; // 500 us
+/// Rate the primary flow is admitted at.
+constexpr data_rate planned_rate = data_rate::from_gbps(8);
+/// Flight-recorder ring capacity in records.
+constexpr std::size_t trace_capacity = 1u << 18;
+
 /// The drill's one metrics list: every layer reports into one place.
 void register_metrics(telemetry::metrics_registry& reg, overload_testbed& tb)
 {
@@ -46,17 +100,17 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     clean.propagation = sim_duration{1000};
 
     netsim::link_config wan;
-    wan.rate = cfg.wan_rate;
-    wan.propagation = cfg.wan_delay;
+    wan.rate = wan_rate;
+    wan.propagation = wan_delay;
     // The backpressure stage scales severity over [low watermark, this].
-    wan.queue_capacity_bytes = cfg.band_bytes;
+    wan.queue_capacity_bytes = band_bytes;
 
     const auto [src_uplink_port, _s] = net.connect(*tb->src, *tb->tofino, clean);
     // The WAN egress runs the MMTP-aware priority queue: deadline traffic
     // and control in band 0 (with deadline-aware shedding), bulk — which
     // includes buf's retransmissions — in band 1, never shed.
     auto pq = std::make_unique<netsim::priority_queue_disc>(
-        pnet::timeliness_bands, cfg.band_bytes, pnet::timeliness_band_of,
+        pnet::timeliness_bands, band_bytes, pnet::timeliness_band_of,
         pnet::timeliness_slack_of);
     tb->wan_queue = pq.get();
     tb->wan_port = net.connect_simplex(*tb->tofino, *tb->rx_host, wan, std::move(pq));
@@ -69,7 +123,7 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
 
     // --- observability: flight recorder sites ---
     if (cfg.trace) {
-        tb->tracer = std::make_unique<trace::flight_recorder>(cfg.trace_capacity);
+        tb->tracer = std::make_unique<trace::flight_recorder>(trace_capacity);
         tb->tracer_install = std::make_unique<trace::scoped_recorder>(*tb->tracer);
         auto& tr = *tb->tracer;
         tb->src->egress(src_uplink_port).set_trace_site(tr.site("src-daq"));
@@ -104,18 +158,15 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
         | wire::feature_bit(wire::feature::timeliness)
         | wire::feature_bit(wire::feature::duplication);
     rule.buffer_addr = tb->buf->address();
-    rule.deadline_us = cfg.deadline_us;
+    rule.deadline_us = deadline_us;
     tb->mode_stage->add_rule(rule);
 
     auto duplication = std::make_shared<pnet::duplication_stage>();
     duplication->add_subscriber(wire::experiments::iceberg, tb->buf->address());
 
-    pnet::backpressure_config bp;
-    bp.low_watermark_bytes = cfg.bp_low_bytes;
-    bp.high_watermark_bytes = cfg.bp_high_bytes;
-    bp.min_interval = cfg.bp_min_interval;
-    bp.level_bands = cfg.bp_level_bands;
-    tb->bp_stage = std::make_shared<pnet::backpressure_stage>(*tb->tofino, bp);
+    // backpressure_config's defaults: engage at 1 MiB, release below
+    // 512 KiB, at most one signal per source per 100 us, 8 level bands.
+    tb->bp_stage = std::make_shared<pnet::backpressure_stage>(*tb->tofino);
 
     tb->tofino->add_stage(tb->mode_stage);
     tb->tofino->add_stage(std::make_shared<pnet::age_update_stage>());
@@ -126,30 +177,29 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     tb->src_stack = std::make_unique<core::stack>(*tb->src, net.ids());
     core::sender_config s_cfg;
     s_cfg.origin_mode.set(wire::feature::backpressure);
-    s_cfg.max_datagram_payload = cfg.message_bytes;
-    s_cfg.pace = cfg.pace;
-    s_cfg.min_pace_fraction = cfg.min_pace_fraction;
-    s_cfg.timing.hold = cfg.backpressure_hold;
-    s_cfg.recovery_step_fraction = cfg.recovery_step_fraction;
-    s_cfg.timing.recovery_interval = cfg.recovery_interval;
+    s_cfg.max_datagram_payload = message_bytes;
+    s_cfg.pace = overload_pace;
+    s_cfg.min_pace_fraction = min_pace_fraction;
+    s_cfg.timing.hold = backpressure_hold;
+    s_cfg.recovery_step_fraction = recovery_step_fraction;
+    s_cfg.timing.recovery_interval = recovery_interval;
     tb->tx = std::make_unique<core::sender>(*tb->src_stack, tb->rx_host->address(), s_cfg);
 
     core::buffer_service_config b;
     b.tap_only = true;
-    b.buffer.capacity_bytes = cfg.buffer_capacity_bytes;
-    b.buffer.retention = cfg.buffer_retention;
-    b.occupancy_high_bytes = cfg.occupancy_high_bytes;
-    b.occupancy_low_bytes = cfg.occupancy_low_bytes;
-    b.retransmit_pace = cfg.retransmit_pace;
+    b.buffer.capacity_bytes = buffer_capacity_bytes;
+    b.buffer.retention = buffer_retention;
+    b.occupancy_high_bytes = occupancy_high_bytes;
+    b.occupancy_low_bytes = occupancy_low_bytes;
+    b.retransmit_pace = retransmit_pace;
     tb->buf_stack = std::make_unique<core::stack>(*tb->buf, net.ids());
     tb->buf_svc = std::make_unique<core::buffer_service>(*tb->buf_stack, b);
     tb->buf_svc->attach_as_sink();
 
     tb->rx_stack = std::make_unique<core::stack>(*tb->rx_host, net.ids());
     core::receiver_config r_cfg;
-    r_cfg.timing.retry_base = cfg.nak_retry;
-    r_cfg.timing.retry_cap = cfg.nak_retry_cap;
-    r_cfg.timing.max_attempts = cfg.max_nak_attempts;
+    r_cfg.timing.retry_base = nak_retry;
+    r_cfg.timing.max_attempts = max_nak_attempts;
     tb->rx = std::make_unique<core::receiver>(*tb->rx_stack, r_cfg);
 
     if (tb->tracer) {
@@ -164,9 +214,9 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     // --- overload-aware control plane ---
     auto& planner = tb->planner;
     planner.register_link("daq", data_rate::from_gbps(100));
-    planner.register_link("wan", cfg.wan_rate);
+    planner.register_link("wan", wan_rate);
     planner.register_link("dtn-storage", data_rate::from_gbps(40));
-    tb->flow = planner.admit({"daq", "wan", "dtn-storage"}, cfg.planned_rate).value_or(0);
+    tb->flow = planner.admit({"daq", "wan", "dtn-storage"}, planned_rate).value_or(0);
 
     // Storage watermarks gate the planner: while buf's occupancy is
     // between the high and low marks no *new* flow may book the DTN.
@@ -178,9 +228,9 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     // A second flow asks for storage mid-overload: deferred while the
     // gate is closed, admitted automatically when retention decay
     // releases the pressure.
-    eng.schedule_at(cfg.second_flow_at, [tbp = tb.get(), &eng] {
+    eng.schedule_at(overload_second_flow_at, [tbp = tb.get(), &eng] {
         const auto id = tbp->planner.admit_or_defer(
-            {"daq", "dtn-storage"}, tbp->cfg.second_flow_rate,
+            {"daq", "dtn-storage"}, second_flow_rate,
             [tbp, &eng](control::flow_id) { tbp->second_flow_admitted_at = eng.now(); });
         if (id) tbp->second_flow_admitted_at = eng.now();
     });
@@ -189,14 +239,14 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     // release after the load stops (bounded by poll_until).
     tb->pressure_poll = [tbp = tb.get(), &eng] {
         tbp->buf_svc->poll_pressure();
-        if (eng.now().ns >= tbp->cfg.poll_until.ns) return;
-        eng.schedule_in(tbp->cfg.pressure_poll, [tbp] { tbp->pressure_poll(); });
+        if (eng.now().ns >= poll_until.ns) return;
+        eng.schedule_in(pressure_poll_interval, [tbp] { tbp->pressure_poll(); });
     };
-    eng.schedule_at(cfg.first_message, [tbp = tb.get()] { tbp->pressure_poll(); });
+    eng.schedule_at(first_message, [tbp = tb.get()] { tbp->pressure_poll(); });
 
     // --- traffic and end-of-stream flush ---
-    daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,
-                              cfg.first_message, cfg.messages);
+    daq::steady_source source(drill_stream, message_bytes, message_interval,
+                              first_message, cfg.messages);
     tb->messages_scheduled = tb->tx->drive(source);
 
     // The sender drains late (AIMD holds it below the offered rate), so
@@ -207,22 +257,22 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
     tb->flush_watch = [tbp = tb.get(), &eng] {
         if (tbp->flush_sent) return;
         if (tbp->tx->stats().datagrams < tbp->messages_scheduled) {
-            eng.schedule_in(tbp->cfg.flush_check, [tbp] { tbp->flush_watch(); });
+            eng.schedule_in(flush_check, [tbp] { tbp->flush_watch(); });
             return;
         }
         tbp->flush_sent = true;
         send_switch_flush(*tbp->tofino, *tbp->src_stack, tbp->rx_host->address(),
                           drill_stream);
     };
-    const sim_time load_end{cfg.first_message.ns
+    const sim_time load_end{first_message.ns
                             + static_cast<std::int64_t>(cfg.messages)
-                                * cfg.message_interval.ns};
+                                * message_interval.ns};
     eng.schedule_at(load_end, [tbp = tb.get()] { tbp->flush_watch(); });
 
     // --- recovery measurement ---
     // Whole again: the sender drained and recovered its pace, the flush
     // went out, and every gap the receiver knows about has been filled.
-    tb->recovery = std::make_unique<telemetry::recovery_tracker>(eng, cfg.probe_interval);
+    tb->recovery = std::make_unique<telemetry::recovery_tracker>(eng, probe_interval);
     tb->recovery->arm(
         load_end,
         [tbp = tb.get()] {
@@ -230,7 +280,7 @@ std::unique_ptr<overload_testbed> make_overload(const overload_config& cfg)
                 && tbp->tx->stats().datagrams >= tbp->messages_scheduled
                 && !tbp->tx->suppressed() && tbp->rx->outstanding_gaps() == 0;
         },
-        load_end + cfg.probe_deadline);
+        load_end + overload_probe_deadline);
 
     return tb;
 }
@@ -354,14 +404,12 @@ overload_result summarize(overload_testbed& tbr)
 std::string overload_driver::describe() const
 {
     // Offered Gbps in tenths, integer-only (bits per ns == Gbps).
-    const std::uint64_t offered_dgbps = cfg_.message_interval.ns > 0
-        ? (80ull * cfg_.message_bytes)
-            / static_cast<std::uint64_t>(cfg_.message_interval.ns)
-        : 0;
+    const std::uint64_t offered_dgbps =
+        (80ull * message_bytes) / static_cast<std::uint64_t>(message_interval.ns);
     return "overload drill: " + std::to_string(cfg_.messages) + " messages at "
         + std::to_string(offered_dgbps / 10) + "."
         + std::to_string(offered_dgbps % 10) + " Gbps offered over a "
-        + std::to_string(cfg_.wan_rate.bits_per_sec / 1000000000) + " Gbps WAN";
+        + std::to_string(wan_rate.bits_per_sec / 1000000000) + " Gbps WAN";
 }
 
 run_context overload_driver::build()

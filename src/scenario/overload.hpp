@@ -54,74 +54,30 @@
 
 namespace mmtp::scenario {
 
+/// What an overload drill varies. Its control loops are tuned as a
+/// system, so programs vary only the offered window and tracing
+/// (campaign::generate); every other value — spans, watermarks, the AIMD
+/// schedule, the recovery schedule, the second flow — is one operating
+/// point, fixed in overload.cpp.
 struct overload_config {
     std::uint64_t seed{42};
-    /// WAN span: the bottleneck the drill overloads.
-    data_rate wan_rate{data_rate::from_gbps(10)};
-    sim_duration wan_delay{sim_duration{1000000}}; // 1 ms one way
-    /// Per-band byte capacity of the WAN's priority egress queue (also
-    /// the capacity the backpressure stage scales severity against).
-    std::uint64_t band_bytes{2ull * 1024 * 1024};
     /// Fixed-size DAQ messages offered at ~2× the WAN rate for a
     /// sustained window — the overload under test.
-    std::uint32_t message_bytes{8192};
     std::uint64_t messages{5000};
-    sim_duration message_interval{sim_duration{3300}}; // ~19.9 Gbps offered
-    sim_time first_message{sim_time{100000}};          // 100 us
-    /// Timeliness budget stamped by the Tofino's mode rule.
-    std::uint32_t deadline_us{5000};
-    /// Backpressure hysteresis on the WAN egress (engage at high,
-    /// release below low) plus signal rate limiting.
-    std::uint64_t bp_low_bytes{512 * 1024};
-    std::uint64_t bp_high_bytes{1024 * 1024};
-    sim_duration bp_min_interval{sim_duration{100000}}; // 100 us
-    unsigned bp_level_bands{8};
-    /// Sender pace (≈ the offered rate; pacing is not the bottleneck
-    /// until backpressure scales it) and its AIMD schedule.
-    data_rate pace{data_rate::from_gbps(20)};
-    double min_pace_fraction{0.25};
-    sim_duration backpressure_hold{sim_duration{2000000}};  // 2 ms
-    double recovery_step_fraction{0.2};
-    sim_duration recovery_interval{sim_duration{500000}};   // 500 us
-    /// buf's storage and its occupancy watermarks (clones of every
-    /// original land here; retention decay eventually releases pressure).
-    /// Retention must outlive the whole recovery tail (gaps behind the
-    /// load window retry on the NAK schedule above), and it also sets
-    /// when occupancy decays below the low watermark.
-    std::uint64_t buffer_capacity_bytes{64ull * 1024 * 1024};
-    sim_duration buffer_retention{sim_duration{80000000}};  // 80 ms
-    /// Repair traffic is paced below the WAN rate so recovery cannot
-    /// re-overload the segment it is repairing.
-    data_rate retransmit_pace{data_rate::from_gbps(8)};
-    std::uint64_t occupancy_high_bytes{8ull * 1024 * 1024};
-    std::uint64_t occupancy_low_bytes{4ull * 1024 * 1024};
-    /// Cadence of buf's retention sweep / watermark re-check, and when
-    /// to stop polling (bounds the run).
-    sim_duration pressure_poll{sim_duration{1000000}}; // 1 ms
-    sim_time poll_until{sim_time{150000000}};          // 150 ms
-    /// A second flow asks for admission mid-overload: it must be
-    /// deferred while buf's pressure gates the storage link and admitted
-    /// once pressure releases.
-    sim_time second_flow_at{sim_time{10000000}}; // 10 ms
-    data_rate second_flow_rate{data_rate::from_gbps(1)};
-    /// Receiver recovery knobs. Retransmissions ride the WAN's bulk band
-    /// *behind* the deadline traffic, so a gap is often unfillable until
-    /// the load window drains — the retry base must be generous or every
-    /// retry just duplicates a retransmission already parked in band 1.
-    sim_duration nak_retry{sim_duration{20000000}};     // 20 ms
-    sim_duration nak_retry_cap{sim_duration{40000000}}; // 40 ms
-    std::uint32_t max_nak_attempts{8};
-    /// End-of-stream detection: once the sender has drained, a flush
-    /// marker (re-checked at this cadence) reveals any tail loss.
-    sim_duration flush_check{sim_duration{1000000}}; // 1 ms
-    /// Recovery probing cadence and give-up horizon.
-    sim_duration probe_interval{sim_duration{500000}};    // 500 us
-    sim_duration probe_deadline{sim_duration{400000000}}; // 400 ms
-    /// Rate the primary flow is admitted at.
-    data_rate planned_rate{data_rate::from_gbps(8)};
     bool trace{true};
-    std::size_t trace_capacity{1u << 18};
+
+    bool operator==(const overload_config&) const = default;
 };
+
+/// Sender pace (≈ the offered rate; pacing is not the bottleneck until
+/// backpressure scales it). The AIMD loop must end the drill back at it.
+inline constexpr data_rate overload_pace = data_rate::from_gbps(20);
+/// A second flow asks for admission here, mid-overload: it must be
+/// deferred while buf's pressure gates the storage link and admitted
+/// once pressure releases.
+inline constexpr sim_time overload_second_flow_at{10000000}; // 10 ms
+/// Recovery probing gives up this long after the load window ends.
+inline constexpr sim_duration overload_probe_deadline{400000000}; // 400 ms
 
 struct overload_testbed {
     netsim::network net;

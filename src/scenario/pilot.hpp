@@ -49,6 +49,8 @@ struct pilot_config {
     bool sequence_at_dtn{false};
     /// Queue capacity on the WAN egress.
     std::uint64_t wan_queue_bytes{8ull * 1024 * 1024};
+
+    bool operator==(const pilot_config&) const = default;
 };
 
 struct pilot_testbed {
@@ -102,6 +104,8 @@ public:
         pilot_config pilot{};
         std::uint64_t records{1000};
         std::uint32_t frames_per_record{10};
+
+        bool operator==(const options&) const = default;
     };
     pilot_driver();
     explicit pilot_driver(options opt);

@@ -9,6 +9,18 @@ namespace {
 constexpr wire::experiment_id drill_stream =
     wire::make_experiment_id(wire::experiments::iceberg, 0);
 
+// The drill's fixed operating point; shapeshift_config holds what
+// programs vary.
+/// WAN span: the segment the drill degrades.
+constexpr data_rate wan_rate = data_rate::from_gbps(10);
+constexpr sim_duration wan_delay{1000000}; // 1 ms one way
+constexpr std::uint64_t wan_queue_bytes = 8ull * 1024 * 1024;
+constexpr std::uint32_t message_bytes = 4096;
+/// The closed loop's signal sampling cadence.
+constexpr sim_duration poll_interval{500000}; // 500 us
+/// Flight-recorder ring capacity in records.
+constexpr std::size_t trace_capacity = 1u << 17;
+
 /// The drill's one metrics list.
 void register_metrics(telemetry::metrics_registry& reg, shapeshift_testbed& tb)
 {
@@ -45,15 +57,15 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     clean.propagation = sim_duration{1000};
 
     netsim::link_config wan;
-    wan.rate = cfg.wan_rate;
-    wan.propagation = cfg.wan_delay;
-    wan.queue_capacity_bytes = cfg.wan_queue_bytes;
+    wan.rate = wan_rate;
+    wan.propagation = wan_delay;
+    wan.queue_capacity_bytes = wan_queue_bytes;
 
     net.connect(*tb->sensor, *tb->dtn1, clean);
     net.connect(*tb->dtn1, *tb->tofino, clean);
     const unsigned wan_port = net.connect_simplex(*tb->tofino, *tb->rx_host, wan);
     netsim::link_config wan_back = clean;
-    wan_back.propagation = cfg.wan_delay;
+    wan_back.propagation = wan_delay;
     net.connect_simplex(*tb->rx_host, *tb->tofino, wan_back); // NAK return path
     tb->wan = &tb->tofino->egress(wan_port);
 
@@ -61,7 +73,7 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
 
     // --- observability ---
     if (cfg.trace) {
-        tb->tracer = std::make_unique<trace::flight_recorder>(cfg.trace_capacity);
+        tb->tracer = std::make_unique<trace::flight_recorder>(trace_capacity);
         tb->tracer_install = std::make_unique<trace::scoped_recorder>(*tb->tracer);
         tb->wan->set_trace_site(tb->tracer->site("wan"));
         tb->tofino->state().trace_site = tb->tracer->site("tofino");
@@ -84,7 +96,7 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     pin.segments = {
         {control::path_segment::kind::daq, sim_duration{1000}, data_rate::from_gbps(100),
          false, 0},
-        {control::path_segment::kind::wan, cfg.wan_delay, cfg.wan_rate, true,
+        {control::path_segment::kind::wan, wan_delay, wan_rate, true,
          tb->tofino->address()},
     };
     pin.recovery_buffer = tb->dtn1->address();
@@ -92,12 +104,8 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     control::policy_engine_config pe_cfg;
     pe_cfg.preset = cfg.policy;
     pe_cfg.inputs = pin;
-    pe_cfg.deadline_override_us = cfg.deadline_us;
-    pe_cfg.poll_interval = cfg.poll_interval;
+    pe_cfg.poll_interval = poll_interval;
     pe_cfg.poll_until = cfg.poll_until;
-    pe_cfg.drain_window = cfg.drain_window;
-    pe_cfg.loss_degrade_threshold = cfg.loss_degrade_threshold;
-    pe_cfg.restore_after_clean_polls = cfg.restore_after_clean_polls;
     tb->policy_ctl = std::make_unique<control::policy_engine>(eng, rmap, pe_cfg);
     tb->policy_ctl->attach_element(*tb->tofino, tb->mode_stage);
     tb->policy_ctl->watch_loss(*tb->wan);
@@ -109,7 +117,7 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     tb->sensor_stack = std::make_unique<core::stack>(*tb->sensor, net.ids());
     core::sender_config s_cfg;
     s_cfg.origin_mode = plan.origin_mode; // mode 0, epoch 0
-    s_cfg.max_datagram_payload = cfg.message_bytes;
+    s_cfg.max_datagram_payload = message_bytes;
     tb->tx = std::make_unique<core::sender>(*tb->sensor_stack, tb->dtn1->address(), s_cfg);
 
     tb->dtn1_stack = std::make_unique<core::stack>(*tb->dtn1, net.ids());
@@ -141,8 +149,8 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
                                  cfg.burst_ber);
 
     // --- traffic and end-of-window flush ---
-    daq::steady_source source(drill_stream, cfg.message_bytes, cfg.message_interval,
-                              cfg.first_message, cfg.messages);
+    daq::steady_source source(drill_stream, message_bytes, cfg.message_interval,
+                              shapeshift_first_message, cfg.messages);
     tb->messages_scheduled = tb->tx->drive(source);
     eng.schedule_at(cfg.flush_at, [tbp = tb.get()] { tbp->dtn1_svc->flush(); });
 
@@ -232,7 +240,7 @@ shapeshift_result summarize(shapeshift_testbed& tbr)
 std::string shapeshift_driver::describe() const
 {
     return "shapeshift drill: " + std::to_string(cfg_.messages) + " messages of "
-        + std::to_string(cfg_.message_bytes) + " B, WAN corruption burst at "
+        + std::to_string(message_bytes) + " B, WAN corruption burst at "
         + std::to_string(cfg_.burst_at.ns / 1000000) + " ms answered by a runtime "
         + "mode shift";
 }

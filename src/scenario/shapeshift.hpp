@@ -46,39 +46,38 @@
 
 namespace mmtp::scenario {
 
+/// What a shape-shift drill varies: the traffic window, the burst, the
+/// poll horizon, the flush, tracing and the policy preset
+/// (campaign::generate). The spans, the message size and the closed
+/// loop's cadence are one operating point, fixed in shapeshift.cpp; its
+/// drain window, loss threshold and restore hysteresis are
+/// policy_engine_config's defaults.
 struct shapeshift_config {
     std::uint64_t seed{42};
-    /// WAN span: the segment the drill degrades.
-    data_rate wan_rate{data_rate::from_gbps(10)};
-    sim_duration wan_delay{sim_duration{1000000}}; // 1 ms one way
-    std::uint64_t wan_queue_bytes{8ull * 1024 * 1024};
     /// Fixed-size DAQ messages offered below the WAN rate (the drill
     /// probes mode agility, not overload).
-    std::uint32_t message_bytes{4096};
     std::uint64_t messages{1500};
     sim_duration message_interval{sim_duration{4000}}; // 4 us ≈ 8.2 Gbps
-    sim_time first_message{sim_time{100000}};          // 100 us
     /// The mid-run degradation: a corruption burst on the WAN span.
     sim_time burst_at{sim_time{2000000}};            // 2 ms
     sim_duration burst_duration{sim_duration{1500000}}; // 1.5 ms
     double burst_ber{2e-5}; // ≈ half of all datagrams corrupted
-    /// Closed-loop knobs (see policy_engine_config for semantics).
-    sim_duration poll_interval{sim_duration{500000}}; // 500 us
-    sim_time poll_until{sim_time{40000000}};          // 40 ms
-    sim_duration drain_window{sim_duration{2000000}}; // 2 ms
-    std::uint64_t loss_degrade_threshold{8};
-    unsigned restore_after_clean_polls{4};
-    /// Explicit age budget (0 = derive from the path, as the pilot does).
-    std::uint32_t deadline_us{0};
+    /// The closed loop stops polling here (see policy_engine_config).
+    sim_time poll_until{sim_time{40000000}}; // 40 ms
     /// End-of-window flush from DTN1 revealing tail loss.
     sim_time flush_at{sim_time{7000000}}; // 7 ms
     bool trace{true};
-    std::size_t trace_capacity{1u << 17};
     /// Policy preset the engine runs. closed_loop (default) answers the
     /// burst with a runtime mode shift; static_preset pins epoch 0 and
     /// leans on NAK recovery alone — the campaign runner sweeps both.
     control::mode_preset policy{control::mode_preset::closed_loop};
+
+    bool operator==(const shapeshift_config&) const = default;
 };
+
+/// When the first message leaves the sensor; campaign::generate places
+/// the burst and the flush relative to it.
+inline constexpr sim_time shapeshift_first_message{100000}; // 100 us
 
 struct shapeshift_testbed {
     netsim::network net;

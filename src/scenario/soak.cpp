@@ -3,6 +3,7 @@
 #include "daq/message.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace mmtp::scenario {
 
@@ -562,12 +563,13 @@ soak_result summarize(soak_testbed& tbr)
 
 std::string soak_driver::describe() const
 {
-    const std::uint64_t total = static_cast<std::uint64_t>(soak_experiments)
-        * cfg_.slices_per_experiment * cfg_.messages_per_stream;
-    return "facility soak: 5 experiments x "
-        + std::to_string(cfg_.slices_per_experiment) + " slices x "
+    // Counts what the traffic loop schedules: only the experiments the
+    // mask enables, each at its own message-count override if it has one.
+    return "facility soak: " + std::to_string(std::popcount(cfg_.experiment_mask))
+        + " experiments x " + std::to_string(cfg_.slices_per_experiment) + " slices x "
         + std::to_string(cfg_.messages_per_stream) + " messages ("
-        + std::to_string(total) + " total) under a fault-and-overload storm";
+        + std::to_string(cfg_.expected_messages())
+        + " total) under a fault-and-overload storm";
 }
 
 run_context soak_driver::build()

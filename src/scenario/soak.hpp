@@ -194,6 +194,8 @@ struct soak_config {
         }
         return total;
     }
+
+    bool operator==(const soak_config&) const = default;
 };
 
 /// CI-sized soak: same topology, same storm script, same control plane,

@@ -2,6 +2,16 @@
 
 namespace mmtp::scenario {
 
+namespace {
+// The pipeline's fixed spans; today_config holds what programs vary.
+/// Every span — DAQ, border, WAN, storage and campus — is 100 GbE.
+constexpr data_rate link_rate = data_rate::from_gbps(100);
+/// The researcher access leg, one way.
+constexpr sim_duration campus_delay{5000000}; // 5 ms
+/// Egress queue capacity on the border, WAN and campus spans.
+constexpr std::uint64_t queue_bytes = 32ull * 1024 * 1024;
+} // namespace
+
 tcp_relay::tcp_relay(tcp::connection& in, tcp::connection& out) : in_(in), out_(out)
 {
     in_.set_on_delivered([this](std::uint64_t) { pump(); });
@@ -19,15 +29,13 @@ void tcp_relay::pump()
 tcp::tcp_config today_testbed::wan_tcp_config() const
 {
     if (!cfg.tuned) return tcp::tcp_config{}; // stock: 256 KiB buffers
-    auto c = tcp::tuned_dtn_config(cfg.wan_rate, cfg.wan_delay * 2, cfg.tcp_host_limit);
-    return c;
+    return tcp::tuned_dtn_config(link_rate, cfg.wan_delay * 2);
 }
 
 tcp::tcp_config today_testbed::campus_tcp_config() const
 {
     if (!cfg.tuned) return tcp::tcp_config{};
-    return tcp::tuned_dtn_config(cfg.campus_rate, cfg.campus_delay * 2,
-                                 cfg.tcp_host_limit);
+    return tcp::tuned_dtn_config(link_rate, campus_delay * 2);
 }
 
 std::uint64_t today_testbed::drive_sensor(daq::message_source& src, std::uint64_t limit)
@@ -81,22 +89,22 @@ std::unique_ptr<today_testbed> make_today(const today_config& cfg)
     tb->campus = &net.add_host("campus");
 
     netsim::link_config daq_link;
-    daq_link.rate = cfg.daq_rate;
+    daq_link.rate = link_rate;
     daq_link.propagation = sim_duration{500};
 
     netsim::link_config border_link;
-    border_link.rate = cfg.wan_rate;
+    border_link.rate = link_rate;
     border_link.propagation = sim_duration{1000};
-    border_link.queue_capacity_bytes = cfg.wan_queue_bytes;
+    border_link.queue_capacity_bytes = queue_bytes;
 
     netsim::link_config wan_link = border_link;
     wan_link.propagation = cfg.wan_delay;
     wan_link.drop_probability = cfg.wan_loss;
 
     netsim::link_config campus_link;
-    campus_link.rate = cfg.campus_rate;
-    campus_link.propagation = cfg.campus_delay;
-    campus_link.queue_capacity_bytes = cfg.wan_queue_bytes;
+    campus_link.rate = link_rate;
+    campus_link.propagation = campus_delay;
+    campus_link.queue_capacity_bytes = queue_bytes;
 
     net.connect(*tb->sensor, *tb->dtn1, daq_link);
     net.connect(*tb->dtn1, *tb->border, border_link);

@@ -20,19 +20,19 @@
 
 namespace mmtp::scenario {
 
+/// What the status-quo pipeline varies: the WAN span's delay and loss
+/// (the benches sweep both) and the TCP tuning (campaign::generate).
+/// Every span runs at 100 Gbps and the campus leg and queues are fixed
+/// in today.cpp; tuned TCP keeps tuned_dtn_config's 30 Gbps per-stream
+/// host ceiling (§4.1).
 struct today_config {
     std::uint64_t seed{42};
-    data_rate daq_rate{data_rate::from_gbps(100)};
-    data_rate wan_rate{data_rate::from_gbps(100)};
     sim_duration wan_delay{sim_duration{10000000}}; // 10 ms one way
     double wan_loss{0.0};
-    data_rate campus_rate{data_rate::from_gbps(100)};
-    sim_duration campus_delay{sim_duration{5000000}}; // 5 ms one way
     /// Tuned DTN TCP (big buffers, CUBIC, host ceiling) vs stock config.
     bool tuned{true};
-    /// Per-stream end-host ceiling for tuned TCP (§4.1: ~30 Gbps).
-    data_rate tcp_host_limit{data_rate::from_gbps(30)};
-    std::uint64_t wan_queue_bytes{32ull * 1024 * 1024};
+
+    bool operator==(const today_config&) const = default;
 };
 
 /// Pipes one TCP connection's delivered bytes into another (the
@@ -99,6 +99,8 @@ public:
         std::uint32_t message_bytes{5000};
         std::uint64_t messages{200};
         sim_duration message_interval{sim_duration{10000}}; // 10 us
+
+        bool operator==(const options&) const = default;
     };
     today_driver();
     explicit today_driver(options opt);

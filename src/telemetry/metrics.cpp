@@ -82,27 +82,6 @@ std::string metrics_registry::to_csv() const
     return out;
 }
 
-std::string metrics_registry::to_json() const
-{
-    const auto rows = snapshot();
-    std::string out = "{";
-    std::string open_metric;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& r = rows[i];
-        if (r.metric != open_metric) {
-            if (!open_metric.empty()) out += "},";
-            out += "\"" + r.metric + "\":{";
-            open_metric = r.metric;
-        } else {
-            out += ",";
-        }
-        out += "\"" + r.field + "\":" + std::to_string(r.value);
-    }
-    if (!open_metric.empty()) out += "}";
-    out += "}";
-    return out;
-}
-
 // --- standard probes -----------------------------------------------------
 
 void register_engine_metrics(metrics_registry& reg, const netsim::engine& eng)

@@ -95,8 +95,6 @@ public:
     /// `metric,field,value` lines (with header), sorted — byte-identical
     /// across same-seed runs.
     std::string to_csv() const;
-    /// `{"metric": {"field": value, ...}, ...}`, sorted, integers only.
-    std::string to_json() const;
 
 private:
     std::map<std::string, counter> counters_;

@@ -1,101 +1,18 @@
 // recorder.hpp — measurement helpers shared by tests, examples, benches.
 //
-// transfer_tracker turns byte-delivery callbacks into flow-completion
-// times; message_latency_tracker turns per-datagram timestamps into
-// latency distributions; rate_sampler turns cumulative counters into a
-// throughput time series.
+// recovery_tracker measures time-to-recover after an injected fault;
+// rate_sampler turns cumulative counters into a throughput time series.
 #pragma once
 
-#include "common/histogram.hpp"
 #include "common/units.hpp"
 #include "netsim/engine.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
 namespace mmtp::telemetry {
-
-/// Tracks one transfer of a known size: feed cumulative delivered bytes,
-/// read the flow-completion time once everything landed.
-class transfer_tracker {
-public:
-    transfer_tracker(netsim::engine& eng, std::uint64_t expected_bytes)
-        : eng_(eng), expected_(expected_bytes), started_(eng.now())
-    {
-    }
-
-    void on_delivered(std::uint64_t cumulative_bytes)
-    {
-        // The counter is cumulative: a reporter that resets (component
-        // restart) or reports out of order must never move delivery
-        // accounting backwards — or un-complete a finished transfer.
-        if (cumulative_bytes < delivered_) regressions_++;
-        delivered_ = std::max(delivered_, cumulative_bytes);
-        if (!completed_ && delivered_ >= expected_) completed_ = eng_.now();
-    }
-
-    bool complete() const { return completed_.has_value(); }
-    std::uint64_t delivered() const { return delivered_; }
-    std::uint64_t expected() const { return expected_; }
-    /// Times on_delivered() saw the cumulative counter go backwards.
-    std::uint64_t regressions() const { return regressions_; }
-
-    /// Flow completion time (start of tracking -> last byte).
-    std::optional<sim_duration> fct() const
-    {
-        if (!completed_) return std::nullopt;
-        return *completed_ - started_;
-    }
-
-    /// Average goodput over the FCT.
-    std::optional<data_rate> goodput() const
-    {
-        const auto t = fct();
-        if (!t || t->ns <= 0) return std::nullopt;
-        return data_rate{static_cast<std::uint64_t>(
-            static_cast<double>(expected_) * 8.0 / t->seconds())};
-    }
-
-private:
-    netsim::engine& eng_;
-    std::uint64_t expected_;
-    sim_time started_;
-    std::uint64_t delivered_{0};
-    std::uint64_t regressions_{0};
-    std::optional<sim_time> completed_;
-};
-
-/// Source-timestamp → arrival-latency distribution (µs).
-class message_latency_tracker {
-public:
-    explicit message_latency_tracker(netsim::engine& eng) : eng_(eng) {}
-
-    void on_arrival(std::uint64_t source_timestamp_ns)
-    {
-        const auto lat_ns = eng_.now().ns - static_cast<std::int64_t>(source_timestamp_ns);
-        // A timestamp from the future (clock skew, corrupted header)
-        // must not enter the distribution as a fake 0 µs sample — that
-        // silently drags every percentile down. Count it instead.
-        if (lat_ns < 0) {
-            negative_latency_++;
-            return;
-        }
-        latency_us_.record(static_cast<std::uint64_t>(lat_ns / 1000));
-    }
-
-    const histogram& latency_us() const { return latency_us_; }
-    /// Arrivals whose source timestamp was in the future (excluded from
-    /// the distribution).
-    std::uint64_t negative_latency() const { return negative_latency_; }
-
-private:
-    netsim::engine& eng_;
-    histogram latency_us_;
-    std::uint64_t negative_latency_{0};
-};
 
 /// Measures time-to-recover after an injected fault: from the instant
 /// the fault fires, a deterministic periodic probe evaluates a health

@@ -38,7 +38,7 @@ TEST(chaos_drill, survives_coordinated_wan_and_buffer_failure)
     EXPECT_GT(r.delivered_despite_failure, 0u);
     ASSERT_TRUE(r.recovered);
     EXPECT_GT(r.time_to_recover.ns, 0);
-    EXPECT_LT(r.time_to_recover.ns, chaos_config{}.probe_deadline.ns);
+    EXPECT_LT(r.time_to_recover.ns, chaos_probe_deadline.ns);
 }
 
 TEST(chaos_drill, same_seed_runs_emit_byte_identical_telemetry)

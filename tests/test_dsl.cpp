@@ -7,11 +7,29 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 
 using namespace mmtp;
 using namespace mmtp::scenario;
+
+namespace {
+
+/// Asserts text fails to parse with the given 1-based line (0 = whole
+/// file) and a diagnostic containing `needle`.
+void expect_error(const std::string& text, unsigned line, const std::string& needle)
+{
+    const auto out = parse_scenario(text);
+    ASSERT_FALSE(out) << "accepted malformed input:\n" << text;
+    EXPECT_EQ(out.error.line, line) << out.error.to_string();
+    EXPECT_NE(out.error.message.find(needle), std::string::npos)
+        << out.error.to_string();
+}
+
+} // namespace
 
 // ------------------------------------------------------- happy-path parses
 
@@ -25,39 +43,79 @@ TEST(dsl_parse, minimal_scenario_takes_topology_defaults)
     EXPECT_EQ(out.spec->chaos.messages, chaos_config{}.messages);
 }
 
+// The pilot keeps a key of every unit type: counts, rates, durations,
+// sizes, fractions and booleans.
 TEST(dsl_parse, typed_values_carry_unit_suffixes)
 {
     const auto out = parse_scenario(R"([scenario]
 name = unit-check
-topology = chaos
+topology = pilot
 seed = 1234
 link_burst = 8
 
 [traffic]
-messages = 700
-message_bytes = 4096
-message_interval = 4us
+records = 700
+frames_per_record = 12
 
 [links]
+daq_rate = 400mbps
 wan_rate = 10gbps
-wan_delay = 2ms
+wan_delay = 4us
+wan_loss = 0.0025
 wan_queue = 512kib
 
-[faults]
-burst_ber = 0.0025
+[policy]
+deadline_us = 4096
+notifications = off
 )");
     ASSERT_TRUE(out) << out.error.to_string();
-    const auto& c = out.spec->chaos;
+    const auto& o = out.spec->pilot;
     EXPECT_EQ(out.spec->name, "unit-check");
     EXPECT_EQ(out.spec->seed(), 1234u);
     EXPECT_EQ(out.spec->link_burst(), 1u); // parsed, then dropped
-    EXPECT_EQ(c.messages, 700u);
-    EXPECT_EQ(c.message_bytes, 4096u);
-    EXPECT_EQ(c.message_interval.ns, 4'000);
-    EXPECT_EQ(c.wan_rate.bits_per_sec, 10'000'000'000ull);
-    EXPECT_EQ(c.wan_delay.ns, 2'000'000);
-    EXPECT_EQ(c.wan_queue_bytes, 512u * 1024u);
-    EXPECT_NEAR(c.burst_ber, 0.0025, 1e-12);
+    EXPECT_EQ(o.records, 700u);
+    EXPECT_EQ(o.frames_per_record, 12u);
+    EXPECT_EQ(o.pilot.daq_rate.bits_per_sec, 400'000'000ull);
+    EXPECT_EQ(o.pilot.wan_rate.bits_per_sec, 10'000'000'000ull);
+    EXPECT_EQ(o.pilot.wan_delay.ns, 4'000);
+    EXPECT_EQ(o.pilot.wan_loss, 0.0025);
+    EXPECT_EQ(o.pilot.wan_queue_bytes, 512u * 1024u);
+    EXPECT_EQ(o.pilot.deadline_us, 4096u);
+    EXPECT_FALSE(o.pilot.notifications);
+
+    // Milliseconds, and times as well as durations.
+    const auto chaos = parse_scenario(
+        "[scenario]\ntopology = chaos\n[traffic]\nmessage_interval = 2ms\n"
+        "[faults]\nfault_at = 3ms\n");
+    ASSERT_TRUE(chaos) << chaos.error.to_string();
+    EXPECT_EQ(chaos.spec->chaos.message_interval.ns, 2'000'000);
+    EXPECT_EQ(chaos.spec->chaos.fault_at.ns, 3'000'000);
+}
+
+// A fraction parses to the double its C++ literal names, so a scenario
+// file is bit for bit the config it spells. These are the fractions the
+// checked-in scenarios and the end-to-end benchmark's specs write.
+TEST(dsl_parse, fractions_parse_to_their_cpp_literals)
+{
+    const std::pair<const char*, double> cases[] = {
+        {"0.000002", 2e-6}, {"0.00001", 1e-5}, {"0.00002", 2e-5}, {"0.0001", 1e-4},
+        {"0.001", 0.001},   {"0.005", 0.005},  {"0.01", 0.01},    {"0.02", 0.02},
+        {"0.05", 0.05},     {"0", 0.0},        {"1", 1.0},        {"1.000", 1.0},
+    };
+    for (const auto& [text, literal] : cases) {
+        const auto out = parse_scenario(
+            std::string("[scenario]\ntopology = pilot\n[links]\nwan_loss = ") + text + "\n");
+        ASSERT_TRUE(out) << text << ": " << out.error.to_string();
+        EXPECT_EQ(out.spec->pilot.pilot.wan_loss, literal) << text;
+    }
+    // 18 fraction digits still parse; the 19th fails closed.
+    EXPECT_TRUE(parse_scenario(
+        "[scenario]\ntopology = pilot\n[links]\nwan_loss = 0.000000000000000001\n"));
+    expect_error(
+        "[scenario]\ntopology = pilot\n[links]\nwan_loss = 0.0000000000000000001\n", 4,
+        "expected a fraction in [0, 1]");
+    expect_error("[scenario]\ntopology = pilot\n[links]\nwan_loss = 1.0001\n", 4,
+                 "expected a fraction in [0, 1]");
 }
 
 TEST(dsl_parse, scenario_keys_apply_regardless_of_order)
@@ -108,21 +166,6 @@ rubin = off
 }
 
 // ------------------------------------------ line-anchored fail-closed errors
-
-namespace {
-
-/// Asserts text fails to parse with the given 1-based line (0 = whole
-/// file) and a diagnostic containing `needle`.
-void expect_error(const std::string& text, unsigned line, const std::string& needle)
-{
-    const auto out = parse_scenario(text);
-    ASSERT_FALSE(out) << "accepted malformed input:\n" << text;
-    EXPECT_EQ(out.error.line, line) << out.error.to_string();
-    EXPECT_NE(out.error.message.find(needle), std::string::npos)
-        << out.error.to_string();
-}
-
-} // namespace
 
 TEST(dsl_errors, truncated_file_missing_topology)
 {
@@ -209,7 +252,7 @@ TEST(dsl_errors, malformed_values)
                  4, "expected a duration");
     expect_error("[scenario]\ntopology = chaos\n[traffic]\nmessage_interval = 4parsecs\n",
                  4, "unknown duration unit 'parsecs'");
-    expect_error("[scenario]\ntopology = chaos\n[links]\nwan_rate = fast\n", 4,
+    expect_error("[scenario]\ntopology = pilot\n[links]\nwan_rate = fast\n", 4,
                  "expected a rate");
     expect_error("[scenario]\ntopology = chaos\n[persistence]\npersist = maybe\n",
                  4, "expected a boolean");
@@ -243,7 +286,38 @@ TEST(dsl_render, render_parse_is_a_fixed_point_for_every_topology)
         EXPECT_EQ(parsed.spec->seed(), spec.seed());
         EXPECT_EQ(render_scenario(*parsed.spec), first)
             << topo << ": render -> parse -> render drifted";
+        // The text is not just stable: it parses back to the very values
+        // it was rendered from (fractions included, bit for bit).
+        EXPECT_TRUE(*parsed.spec == spec) << topo << ": parsed values differ";
     }
+}
+
+// Each topology's keyspace, counted as render_scenario writes it. A key
+// exists only where a program sets its field to a second value or the
+// end-to-end benchmark's specs write it; adding one means editing this
+// reviewed constant and giving the reason in CHANGES.md.
+TEST(dsl_render, keyspace_per_topology_is_pinned)
+{
+    const std::pair<const char*, std::size_t> pins[] = {
+        {"chaos", 16}, {"overload", 2}, {"pilot", 11},
+        {"shapeshift", 9}, {"soak", 48}, {"today", 6},
+    };
+    ASSERT_EQ(topology_names().size(), std::size(pins));
+    std::size_t total = 0;
+    for (const auto& [topo, keys] : pins) {
+        scenario_spec spec;
+        spec.topology = topo;
+        std::istringstream text(render_scenario(spec));
+        std::size_t n = 0;
+        bool in_scenario = false;
+        for (std::string line; std::getline(text, line);) {
+            if (!line.empty() && line.front() == '[') in_scenario = line == "[scenario]";
+            else if (!in_scenario && line.find(" = ") != std::string::npos) ++n;
+        }
+        EXPECT_EQ(n, keys) << topo;
+        total += n;
+    }
+    EXPECT_EQ(total, 92u);
 }
 
 // ------------------------------------------------------ campaign generator
@@ -266,6 +340,7 @@ TEST(dsl_generate, generated_scenarios_survive_the_round_trip)
         ASSERT_TRUE(parsed) << "seed " << seed << ": " << parsed.error.to_string()
                             << "\n" << text;
         EXPECT_EQ(render_scenario(*parsed.spec), text) << "seed " << seed;
+        EXPECT_TRUE(*parsed.spec == spec) << "seed " << seed << ": parsed values differ";
     }
 }
 

@@ -250,7 +250,7 @@ TEST(overload_drill, bounded_misses_zero_giveups_and_aimd_recovery)
     EXPECT_GT(r.rx.recovered, 0u); // the overload really caused loss
     ASSERT_TRUE(r.recovered);
     EXPECT_GT(r.time_to_recover.ns, 0);
-    EXPECT_LT(r.time_to_recover.ns, cfg.probe_deadline.ns);
+    EXPECT_LT(r.time_to_recover.ns, scenario::overload_probe_deadline.ns);
 
     // Deadline misses are the drill's headline number: bounded (the
     // documented R3 bound is < 80% at 2× overload; unbounded queues
@@ -274,7 +274,7 @@ TEST(overload_drill, bounded_misses_zero_giveups_and_aimd_recovery)
     EXPECT_GT(r.tx.bp_recoveries, 0u);
     EXPECT_GT(r.tx.suppressed_ns, 0u);
     EXPECT_TRUE(r.pace_recovered);
-    EXPECT_EQ(r.final_pace_bps, cfg.pace.bits_per_sec);
+    EXPECT_EQ(r.final_pace_bps, scenario::overload_pace.bits_per_sec);
 
     // Storage watermarks gated the planner: the mid-overload flow was
     // deferred, then admitted once retention decay released the pressure.
@@ -282,7 +282,7 @@ TEST(overload_drill, bounded_misses_zero_giveups_and_aimd_recovery)
     EXPECT_EQ(r.pressure_releases, r.pressure_engagements);
     EXPECT_TRUE(r.second_flow_deferred);
     EXPECT_TRUE(r.second_flow_admitted);
-    EXPECT_GT(r.second_flow_admitted_at.ns, cfg.second_flow_at.ns);
+    EXPECT_GT(r.second_flow_admitted_at.ns, scenario::overload_second_flow_at.ns);
     EXPECT_EQ(r.planner.admissions_deferred, r.planner.deferred_admitted);
 }
 

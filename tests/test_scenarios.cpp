@@ -167,38 +167,6 @@ INSTANTIATE_TEST_SUITE_P(losses, today_loss_sweep,
 
 // -------------------------------------------------------------- telemetry
 
-TEST(telemetry, transfer_tracker_fct_and_goodput)
-{
-    netsim::engine eng;
-    telemetry::transfer_tracker t(eng, 1000);
-    EXPECT_FALSE(t.complete());
-    eng.schedule_at(sim_time{500}, [] {});
-    eng.run();
-    t.on_delivered(400);
-    EXPECT_FALSE(t.complete());
-    eng.schedule_at(sim_time{1000}, [] {});
-    eng.run();
-    t.on_delivered(1000);
-    ASSERT_TRUE(t.complete());
-    EXPECT_EQ(t.fct()->ns, 1000);
-    // 1000 bytes over 1 us = 8 Gbps
-    EXPECT_NEAR(t.goodput()->gbps(), 8.0, 0.01);
-    // later deliveries don't move the completion time
-    t.on_delivered(2000);
-    EXPECT_EQ(t.fct()->ns, 1000);
-}
-
-TEST(telemetry, message_latency_tracker)
-{
-    netsim::engine eng;
-    telemetry::message_latency_tracker t(eng);
-    eng.schedule_at(sim_time{5000}, [] {});
-    eng.run();
-    t.on_arrival(2000); // sent at 2 us, arrived at 5 us -> 3 us
-    EXPECT_EQ(t.latency_us().max(), 3u);
-    EXPECT_EQ(t.latency_us().count(), 1u);
-}
-
 TEST(telemetry, rate_sampler_measures_counter_slope)
 {
     netsim::engine eng;

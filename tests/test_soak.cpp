@@ -90,6 +90,28 @@ TEST(soak_drill, smoke_run_is_whole_and_deterministic)
     EXPECT_EQ(r.metrics_csv, rerun.metrics_csv);
 }
 
+// describe() counts the messages the traffic loop schedules: a masked
+// experiment sends nothing and an override replaces messages_per_stream.
+TEST(soak_drill, describe_counts_the_enabled_experiments_and_overrides)
+{
+    EXPECT_EQ(scenario::soak_driver().describe(),
+              "facility soak: 5 experiments x 4 slices x 50000 messages (1000000 total) "
+              "under a fault-and-overload storm");
+    EXPECT_EQ(scenario::soak_driver(scenario::soak_smoke_config()).describe(),
+              "facility soak: 5 experiments x 4 slices x 500 messages (10000 total) "
+              "under a fault-and-overload storm");
+
+    auto cfg = scenario::soak_smoke_config();
+    cfg.slices_per_experiment = 2;
+    cfg.experiment_mask = 0b10101;     // cms, ecce, rubin
+    cfg.experiment_messages[2] = 120;  // ecce
+    cfg.experiment_messages[3] = 9999; // mu2e: masked, never sent
+    ASSERT_EQ(cfg.expected_messages(), 2u * 500 + 2u * 120 + 2u * 500);
+    EXPECT_EQ(scenario::soak_driver(cfg).describe(),
+              "facility soak: 3 experiments x 2 slices x 500 messages (2240 total) "
+              "under a fault-and-overload storm");
+}
+
 // ------------------------------------------------- sequencing rollover
 
 namespace {
