@@ -46,9 +46,6 @@ int main()
     net.compute_routes();
 
     // 2. Control plane: describe the path, compile the mode policy.
-    control::resource_map rmap;
-    rmap.add({control::resource_kind::retransmission_buffer, dtn.address(),
-              "dtn-buffer", 512 * 1024 * 1024, 5_s, "example"});
     control::policy_inputs pin;
     pin.experiment = wire::experiments::iceberg;
     pin.segments = {
@@ -58,7 +55,7 @@ int main()
     };
     pin.recovery_buffer = dtn.address();
     pin.notify_addr = dtn.address();
-    const auto policy = control::compile_modes(pin, rmap);
+    const auto policy = control::compile_modes(pin);
     std::printf("policy: deadline=%u us, nak_retry=%.1f ms, %zu transition(s)\n",
                 policy.deadline_us, policy.suggested_nak_retry.millis(),
                 policy.transitions.size());

@@ -37,26 +37,8 @@ void histogram::record(std::uint64_t value)
 {
     buckets_[bucket_for(value)]++;
     count_++;
-    sum_ += value;
     if (count_ == 1 || value < min_) min_ = value;
     if (value > max_) max_ = value;
-}
-
-void histogram::merge(const histogram& other)
-{
-    for (std::size_t i = 0; i < kBucketCount; ++i) buckets_[i] += other.buckets_[i];
-    if (other.count_ > 0) {
-        if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-        if (other.max_ > max_) max_ = other.max_;
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
-double histogram::mean() const
-{
-    if (count_ == 0) return 0.0;
-    return static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
 std::uint64_t histogram::percentile(double p) const
@@ -77,12 +59,6 @@ std::uint64_t histogram::percentile(double p) const
         }
     }
     return max_;
-}
-
-void histogram::reset()
-{
-    buckets_.assign(kBucketCount, 0);
-    count_ = sum_ = min_ = max_ = 0;
 }
 
 } // namespace mmtp

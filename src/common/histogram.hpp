@@ -16,17 +16,13 @@ public:
     histogram();
 
     void record(std::uint64_t value);
-    void merge(const histogram& other);
 
     std::uint64_t count() const { return count_; }
     std::uint64_t min() const { return count_ ? min_ : 0; }
     std::uint64_t max() const { return max_; }
-    double mean() const;
 
     /// Value at percentile p in [0, 100]. Returns 0 for an empty histogram.
     std::uint64_t percentile(double p) const;
-
-    void reset();
 
 private:
     static std::size_t bucket_for(std::uint64_t value);
@@ -34,7 +30,6 @@ private:
 
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_{0};
-    std::uint64_t sum_{0};
     std::uint64_t min_{0};
     std::uint64_t max_{0};
 };

@@ -89,15 +89,6 @@ std::vector<record> flight_recorder::events() const
     return out;
 }
 
-std::vector<record> flight_recorder::packet_events(std::uint64_t packet_id) const
-{
-    std::vector<record> out;
-    for_each([&](const record& r) {
-        if (r.packet_id == packet_id) out.push_back(r);
-    });
-    return out;
-}
-
 std::vector<record> flight_recorder::message_timeline(std::uint64_t seq) const
 {
     // Pass 1: collect every packet id bound to the sequence. Binding

@@ -153,9 +153,6 @@ public:
     /// Surviving records, oldest first, as a copy.
     std::vector<record> events() const;
 
-    /// Surviving records for one packet id, oldest first.
-    std::vector<record> packet_events(std::uint64_t packet_id) const;
-
     /// The full journey of the message carrying sequence number `seq`:
     /// every record for any packet bound to the sequence (via seq-insert,
     /// retransmit or deliver records), their clones (chased through

@@ -9,7 +9,7 @@ constexpr double deadline_slack = 3.0;
 constexpr sim_duration deadline_allowance{2000000}; // 2 ms
 } // namespace
 
-compiled_policy compile_modes(const policy_inputs& in, const resource_map& map)
+compiled_policy compile_modes(const policy_inputs& in)
 {
     compiled_policy out;
     out.origin_mode = wire::modes::identification;
@@ -20,14 +20,6 @@ compiled_policy compile_modes(const policy_inputs& in, const resource_map& map)
     const double budget_ns =
         static_cast<double>(path_ns) * deadline_slack + static_cast<double>(deadline_allowance.ns);
     out.deadline_us = static_cast<std::uint32_t>(budget_ns / 1000.0);
-
-    // Recovery buffer: explicit, or nearest upstream buffer in the map.
-    wire::ipv4_addr buffer = in.recovery_buffer;
-    if (buffer == 0) {
-        std::vector<wire::ipv4_addr> addrs;
-        for (const auto& s : in.segments) addrs.push_back(s.boundary_element);
-        if (auto r = map.nearest_upstream_buffer(addrs, addrs.size())) buffer = r->addr;
-    }
 
     wire::mode current = out.origin_mode;
     for (std::size_t i = 0; i < in.segments.size(); ++i) {
@@ -44,12 +36,12 @@ compiled_policy compile_modes(const policy_inputs& in, const resource_map& map)
             break;
         case path_segment::kind::wan:
             // Crossing into the WAN: take up sequencing + recovery from
-            // the nearest buffer + the age budget + backpressure.
+            // the named buffer + the age budget + backpressure.
             rule.set_bits = wire::feature_bit(wire::feature::sequencing)
                 | wire::feature_bit(wire::feature::retransmission)
                 | wire::feature_bit(wire::feature::timeliness)
                 | wire::feature_bit(wire::feature::backpressure);
-            rule.buffer_addr = buffer;
+            rule.buffer_addr = in.recovery_buffer;
             rule.deadline_us = out.deadline_us;
             rule.notify_addr = in.notify_addr;
             next.cfg_data |= rule.set_bits;

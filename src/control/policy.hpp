@@ -1,15 +1,16 @@
 // policy.hpp — the mode-policy compiler.
 //
 // Given an end-to-end path described as ordered segments (DAQ network →
-// WAN → campus), the resource map, and an end-to-end latency budget,
-// compile_modes() decides which transport mode each segment runs in and
-// emits the mode_transition rules to install on the boundary elements —
-// the pilot's "simple 3-mode setup that pre-supposes knowledge of
-// in-network resources at system start" (§5.3), generalized to N
-// segments.
+// WAN → campus), the buffer to recover from, and an end-to-end latency
+// budget, compile_modes() decides which transport mode each segment runs
+// in and emits the mode_transition rules to install on the boundary
+// elements — the pilot's "simple 3-mode setup that pre-supposes
+// knowledge of in-network resources at system start" (§5.3), generalized
+// to N segments. The caller names the recovery buffer; discovering it
+// from a shared map of in-network resources is the paper's future work
+// (§6 challenge 1) and is not modelled.
 #pragma once
 
-#include "control/resource_map.hpp"
 #include "pnet/stages.hpp"
 #include "wire/features.hpp"
 
@@ -48,7 +49,7 @@ struct policy_inputs {
     std::uint32_t experiment{0};
     std::vector<path_segment> segments;
     /// Buffer the WAN segment should recover from (usually the DTN at
-    /// the DAQ/WAN boundary); 0 = take the map's nearest upstream buffer.
+    /// the DAQ/WAN boundary); 0 = the WAN rule names no buffer.
     wire::ipv4_addr recovery_buffer{0};
     /// Where deadline-exceeded notifications go (usually the source DTN).
     wire::ipv4_addr notify_addr{0};
@@ -58,6 +59,6 @@ struct policy_inputs {
 /// network, age-sensitive + recoverable-loss over the WAN, timeliness
 /// check (with in-network features stripped) on the campus segment. The
 /// deadline is 3x the one-way path latency plus a 2 ms allowance.
-compiled_policy compile_modes(const policy_inputs& in, const resource_map& map);
+compiled_policy compile_modes(const policy_inputs& in);
 
 } // namespace mmtp::control

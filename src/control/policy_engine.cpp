@@ -13,9 +13,8 @@ const char* posture_name(posture p)
     return "?";
 }
 
-policy_engine::policy_engine(netsim::engine& eng, resource_map map,
-                             policy_engine_config cfg)
-    : eng_(eng), map_(std::move(map)), cfg_(std::move(cfg))
+policy_engine::policy_engine(netsim::engine& eng, policy_engine_config cfg)
+    : eng_(eng), cfg_(std::move(cfg))
 {
 }
 
@@ -53,7 +52,7 @@ compiled_policy policy_engine::compile_for(posture p) const
     // Both postures start from a fresh static compilation — buffered is
     // a transformation of the baseline plan, so segment topology changes
     // (new inputs) are picked up on the next shift too.
-    compiled_policy plan = compile_modes(cfg_.inputs, map_);
+    compiled_policy plan = compile_modes(cfg_.inputs);
     if (cfg_.deadline_override_us != 0) {
         plan.deadline_us = cfg_.deadline_override_us;
         for (auto& t : plan.transitions)

@@ -27,7 +27,6 @@
 
 #include "control/health_monitor.hpp"
 #include "control/policy.hpp"
-#include "control/resource_map.hpp"
 #include "netsim/engine.hpp"
 #include "netsim/link.hpp"
 #include "pnet/element.hpp"
@@ -104,7 +103,7 @@ struct policy_engine_stats {
 
 class policy_engine {
 public:
-    policy_engine(netsim::engine& eng, resource_map map, policy_engine_config cfg);
+    policy_engine(netsim::engine& eng, policy_engine_config cfg);
 
     // --- wiring (before start()) -----------------------------------------
     /// Attaches a boundary element whose mode_transition_stage this
@@ -164,7 +163,6 @@ private:
     std::uint64_t loss_total() const;
 
     netsim::engine& eng_;
-    resource_map map_;
     policy_engine_config cfg_;
     std::vector<attached> elements_;
     origin_handler origin_;

@@ -4,13 +4,6 @@ namespace mmtp::daq {
 
 alert_burst_source::alert_burst_source(rng r, config cfg) : rng_(r), cfg_(cfg) {}
 
-data_rate alert_burst_source::burst_rate() const
-{
-    const double bytes_per_sec = static_cast<double>(cfg_.mean_alert_bytes)
-        / cfg_.intra_burst_gap.seconds();
-    return data_rate{static_cast<std::uint64_t>(bytes_per_sec * 8.0)};
-}
-
 std::optional<timed_message> alert_burst_source::next()
 {
     if (cfg_.visit_limit != 0 && visit_ >= cfg_.visit_limit) return std::nullopt;

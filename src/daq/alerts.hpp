@@ -36,9 +36,6 @@ public:
 
     std::optional<timed_message> next() override;
 
-    /// Peak rate of one burst, for capacity planning checks.
-    data_rate burst_rate() const;
-
 private:
     rng rng_;
     config cfg_;

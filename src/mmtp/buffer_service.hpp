@@ -119,7 +119,8 @@ public:
     /// Interned flight-recorder site id for retransmit records (0 = unnamed).
     void set_trace_site(std::uint32_t site) { trace_site_ = site; }
 
-    /// Announce this buffer to a control-plane collector.
+    /// Announces this buffer and its secondary to `collector`, the
+    /// receiver whose NAKs should fail over (or back) accordingly.
     void advertise(wire::ipv4_addr collector);
 
     /// Sends end-of-window markers for every stream this service has

@@ -20,18 +20,6 @@ void fault_scheduler::repair_link_at(link& l, sim_time at)
     });
 }
 
-void fault_scheduler::flap_link(link& l, sim_time first_down, sim_duration down_for,
-                                sim_duration up_for, unsigned cycles)
-{
-    const sim_duration period = down_for + up_for;
-    for (unsigned i = 0; i < cycles; ++i) {
-        const sim_time down_at = first_down + period * static_cast<std::int64_t>(i);
-        fail_link_at(l, down_at);
-        repair_link_at(l, down_at + down_for);
-        stats_.flap_cycles_scheduled++;
-    }
-}
-
 void fault_scheduler::corruption_burst(link& l, sim_time at, sim_duration duration,
                                        double ber)
 {
@@ -92,12 +80,6 @@ void fault_scheduler::clear_hooks(node& n)
 {
     blackout_hooks_.erase(&n);
     restore_hooks_.erase(&n);
-}
-
-void fault_scheduler::blackout_window(node& n, sim_time at, sim_duration duration)
-{
-    blackout_node(n, at);
-    restore_node(n, at + duration);
 }
 
 } // namespace mmtp::netsim

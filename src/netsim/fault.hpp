@@ -10,7 +10,6 @@
 //
 // Event types:
 //   - one-shot link failure / repair        (fail_link_at / repair_link_at)
-//   - periodic link flaps                   (flap_link)
 //   - corruption bursts: temporary BER      (corruption_burst)
 //   - node / element blackout and restore   (blackout_node / restore_node)
 //
@@ -40,8 +39,6 @@ struct fault_stats {
     std::uint64_t corruption_bursts{0};
     std::uint64_t node_blackouts{0};
     std::uint64_t node_restores{0};
-    /// Flap cycles scripted via flap_link.
-    std::uint64_t flap_cycles_scheduled{0};
 };
 
 /// Drives scripted fault events. Links and nodes must outlive the
@@ -57,11 +54,6 @@ public:
     /// Brings the link back up at `at`; queued packets resume draining.
     void repair_link_at(link& l, sim_time at);
 
-    /// Scripts `cycles` down/up flaps: down at `first_down`, up after
-    /// `down_for`, next cycle after a further `up_for`, and so on.
-    void flap_link(link& l, sim_time first_down, sim_duration down_for,
-                   sim_duration up_for, unsigned cycles);
-
     /// Overrides the link's bit-error rate with `ber` during
     /// [at, at + duration), then restores the value it had when the
     /// burst began (so nested scripts compose left to right).
@@ -73,9 +65,6 @@ public:
 
     /// Powers the node back on at `at`.
     void restore_node(node& n, sim_time at);
-
-    /// Convenience: blackout at `at`, restore after `duration`.
-    void blackout_window(node& n, sim_time at, sim_duration duration);
 
     /// Lifecycle hooks: fired when a blackout/restore event genuinely
     /// transitions the node's power state (a restore of an already-powered

@@ -57,16 +57,4 @@ void network::compute_routes()
     }
 }
 
-node* network::find(const std::string& name)
-{
-    auto it = by_name_.find(name);
-    return it == by_name_.end() ? nullptr : it->second;
-}
-
-node* network::find_addr(wire::ipv4_addr a)
-{
-    auto it = by_addr_.find(a);
-    return it == by_addr_.end() ? nullptr : it->second;
-}
-
 } // namespace mmtp::netsim

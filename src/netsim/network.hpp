@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,8 +45,6 @@ public:
         auto n = std::make_unique<T>(*eng_, name, next_addr(), next_mac(),
                                      std::forward<Args>(args)...);
         T& ref = *n;
-        by_name_[name] = n.get();
-        by_addr_[ref.address()] = n.get();
         nodes_.push_back(std::move(n));
         return ref;
     }
@@ -66,8 +63,6 @@ public:
     /// node address. Ties break toward the lower-numbered port.
     void compute_routes();
 
-    node* find(const std::string& name);
-    node* find_addr(wire::ipv4_addr a);
     const std::vector<std::unique_ptr<node>>& nodes() const { return nodes_; }
 
 private:
@@ -85,8 +80,6 @@ private:
     std::unique_ptr<packet_id_source> ids_;
     std::uint32_t addr_counter_{0};
     std::vector<std::unique_ptr<node>> nodes_;
-    std::unordered_map<std::string, node*> by_name_;
-    std::unordered_map<wire::ipv4_addr, node*> by_addr_;
     std::vector<edge> edges_;
 };
 

@@ -330,7 +330,6 @@ std::size_t duplication_stage::subscriber_count(std::uint32_t experiment) const
 
 void duplication_stage::resolve(element_state& state)
 {
-    subscriptions_ = state.counter_id("subscriptions");
     duplicated_ = state.counter_id("duplicated");
 }
 
@@ -339,18 +338,6 @@ void duplication_stage::process(packet_context& ctx, element_state& state)
     ensure_bound(state);
     if (!ctx.mmtp) return;
     auto& h = *ctx.mmtp;
-
-    // In-band subscription addressed to this element.
-    if (h.m.has(wire::feature::control) && h.control == wire::control_type::subscribe
-        && ctx.ip && ctx.ip->dst == state.element_addr) {
-        if (const auto body = wire::parse_subscribe(ctx.control_body())) {
-            add_subscriber(wire::experiment_of(body->experiment), body->subscriber);
-            state.bump(subscriptions_);
-        }
-        ctx.drop = true; // consumed
-        return;
-    }
-
     if (h.m.has(wire::feature::control)) return;
     if (!h.m.has(wire::feature::duplication)) return;
 

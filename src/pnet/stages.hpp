@@ -200,9 +200,10 @@ private:
 // ---------------------------------------------------------------------------
 
 /// Duplicates data packets of subscribed experiments toward subscriber
-/// addresses, and consumes in-band `subscribe` control messages addressed
-/// to this element. This is how Vera Rubin-style alert streams reach
-/// several downstream researchers directly (Fig. 3 ⑥, §2.1).
+/// addresses. This is how Vera Rubin-style alert streams reach several
+/// downstream researchers directly (Fig. 3 ⑥, §2.1). The control plane
+/// installs and prunes subscribers; the element takes no in-band
+/// subscription messages.
 class duplication_stage final : public pipeline_stage {
 public:
     void add_subscriber(std::uint32_t experiment, wire::ipv4_addr subscriber);
@@ -221,7 +222,6 @@ private:
     void resolve(element_state& state) override;
 
     std::unordered_map<std::uint32_t, std::vector<wire::ipv4_addr>> subs_;
-    counter_handle subscriptions_;
     counter_handle duplicated_;
 };
 

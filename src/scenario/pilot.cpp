@@ -69,15 +69,7 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
 
     net.compute_routes();
 
-    // --- control plane: resources + mode policy ---
-    control::resource_map rmap;
-    rmap.add({control::resource_kind::retransmission_buffer, tb->dtn1->address(),
-              "dtn1-buffer", 512ull * 1024 * 1024, sim_duration{5000000000}, "daq-site"});
-    rmap.add({control::resource_kind::programmable_switch, tb->tofino2->address(),
-              "tofino2", 0, sim_duration::zero(), "daq-site"});
-    rmap.add({control::resource_kind::fpga_nic, tb->alveo_rx->address(), "alveo-u55c", 0,
-              sim_duration::zero(), "receiving-site"});
-
+    // --- control plane: mode policy ---
     control::policy_inputs pin;
     pin.experiment = wire::experiments::iceberg;
     pin.segments = {
@@ -115,7 +107,7 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
     pe_cfg.preset = control::mode_preset::static_preset;
     pe_cfg.inputs = pin;
     pe_cfg.deadline_override_us = cfg.deadline_us;
-    tb->policy_ctl = std::make_unique<control::policy_engine>(net.sim(), rmap, pe_cfg);
+    tb->policy_ctl = std::make_unique<control::policy_engine>(net.sim(), pe_cfg);
     if (!cfg.sequence_at_dtn)
         tb->policy_ctl->attach_element(*tb->tofino2, tb->mode_stage);
     tb->policy_ctl->attach_element(*tb->alveo_rx, tb->campus_stage);
@@ -153,7 +145,6 @@ std::unique_ptr<pilot_testbed> make_pilot(const pilot_config& cfg)
 
 // --- pilot_driver ----------------------------------------------------------
 
-pilot_driver::pilot_driver() : pilot_driver(options{}) {}
 pilot_driver::pilot_driver(options opt) : opt_(std::move(opt)) {}
 
 std::string pilot_driver::describe() const

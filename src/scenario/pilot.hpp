@@ -107,7 +107,6 @@ public:
 
         bool operator==(const options&) const = default;
     };
-    pilot_driver();
     explicit pilot_driver(options opt);
 
     std::string describe() const override;

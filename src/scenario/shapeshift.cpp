@@ -85,12 +85,6 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     tb->tofino->add_stage(std::make_shared<pnet::age_update_stage>());
 
     // --- closed-loop control plane ---
-    control::resource_map rmap;
-    rmap.add({control::resource_kind::retransmission_buffer, tb->dtn1->address(),
-              "dtn1-buffer", 512ull * 1024 * 1024, sim_duration{5000000000}, "daq-site"});
-    rmap.add({control::resource_kind::programmable_switch, tb->tofino->address(),
-              "tofino", 0, sim_duration::zero(), "daq-site"});
-
     control::policy_inputs pin;
     pin.experiment = wire::experiments::iceberg;
     pin.segments = {
@@ -106,7 +100,7 @@ std::unique_ptr<shapeshift_testbed> make_shapeshift(const shapeshift_config& cfg
     pe_cfg.inputs = pin;
     pe_cfg.poll_interval = poll_interval;
     pe_cfg.poll_until = cfg.poll_until;
-    tb->policy_ctl = std::make_unique<control::policy_engine>(eng, rmap, pe_cfg);
+    tb->policy_ctl = std::make_unique<control::policy_engine>(eng, pe_cfg);
     tb->policy_ctl->attach_element(*tb->tofino, tb->mode_stage);
     tb->policy_ctl->watch_loss(*tb->wan);
     if (tb->tracer) tb->policy_ctl->set_trace_site(tb->tracer->site("ctl"));

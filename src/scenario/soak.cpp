@@ -236,14 +236,6 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
 
     // --- five closed-loop policy engines over one shared element ---
     for (std::size_t i = 0; i < soak_experiments; ++i) {
-        control::resource_map rmap;
-        rmap.add({control::resource_kind::retransmission_buffer,
-                  tb->dtn1->address(), "dtn1-buffer", cfg.dtn1_capacity_bytes,
-                  cfg.dtn1_retention, "facility"});
-        rmap.add({control::resource_kind::programmable_switch,
-                  tb->tofino->address(), "tofino", 0, sim_duration::zero(),
-                  "facility"});
-
         control::policy_inputs pin;
         pin.experiment = profiles[i].experiment;
         pin.segments = {
@@ -263,7 +255,7 @@ std::unique_ptr<soak_testbed> make_soak(const soak_config& cfg)
         pe_cfg.loss_degrade_threshold = cfg.loss_degrade_threshold;
         pe_cfg.restore_after_clean_polls = cfg.restore_after_clean_polls;
         tb->engines[i] =
-            std::make_unique<control::policy_engine>(eng, rmap, pe_cfg);
+            std::make_unique<control::policy_engine>(eng, pe_cfg);
         tb->engines[i]->attach_element(*tb->tofino, tb->mode_stages[i]);
         // Watch both spans: the storm degrades the primary first and the
         // backup (by then the active path) later.

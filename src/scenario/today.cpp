@@ -137,7 +137,6 @@ std::unique_ptr<today_testbed> make_today(const today_config& cfg)
 
 // --- today_driver ----------------------------------------------------------
 
-today_driver::today_driver() : today_driver(options{}) {}
 today_driver::today_driver(options opt) : opt_(std::move(opt)) {}
 
 std::string today_driver::describe() const

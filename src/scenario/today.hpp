@@ -102,7 +102,6 @@ public:
 
         bool operator==(const options&) const = default;
     };
-    today_driver();
     explicit today_driver(options opt);
 
     std::string describe() const override;

@@ -80,7 +80,6 @@ void connection::connect()
 void connection::begin_passive(const segment_header& syn)
 {
     rcv_nxt_ = syn.seq + 1;
-    irs_consumed_ = rcv_nxt_;
     rwnd_ = syn.window;
     state_ = state::syn_received;
     emit(0, 0, flag_bit(tcp_flag::syn) | flag_bit(tcp_flag::ack), false);
@@ -101,12 +100,6 @@ std::uint64_t connection::send(std::uint64_t bytes)
     if (state_ != state::closed) stream_end_ = 1 + app_written_;
     maybe_send_data();
     return accepted;
-}
-
-void connection::close()
-{
-    fin_queued_ = true;
-    maybe_send_data();
 }
 
 std::uint64_t connection::inflight() const
@@ -191,7 +184,7 @@ void connection::send_ack_now()
 
 void connection::maybe_send_data()
 {
-    if (state_ != state::established && state_ != state::fin_sent) return;
+    if (state_ != state::established) return;
 
     const auto now = eng_.now();
     // End-host processing ceiling: the leaky bucket says when the host
@@ -252,17 +245,7 @@ void connection::maybe_send_data()
             }
             const std::uint64_t avail =
                 stream_end_ > snd_nxt_ ? stream_end_ - snd_nxt_ : 0;
-            if (avail == 0) {
-                if (fin_queued_ && !fin_sent_ && snd_nxt_ == stream_end_) {
-                    fin_sent_ = true;
-                    state_ = state::fin_sent;
-                    emit(snd_nxt_, 0, flag_bit(tcp_flag::fin) | flag_bit(tcp_flag::ack),
-                         false);
-                    snd_nxt_ += 1; // FIN consumes one sequence number
-                    arm_rto();
-                }
-                break;
-            }
+            if (avail == 0) break;
             seq = snd_nxt_;
             len = avail < mss ? avail : mss;
             if (len > budget) len = budget;
@@ -331,8 +314,6 @@ void connection::on_rto()
     // already SACKed (the resend path in maybe_send_data consults
     // sacked_), so only genuinely missing data crosses the wire again.
     snd_nxt_ = snd_una_;
-    if (fin_sent_) fin_sent_ = false; // FIN will be re-emitted after the data
-    if (state_ == state::fin_sent) state_ = state::established;
     stats_.retransmitted_segments++; // count the rewind as repair work
     maybe_send_data();
     arm_rto();
@@ -356,14 +337,8 @@ void connection::deliver_in_order()
     }
     if (rcv_nxt_ == before) return;
 
-    std::uint64_t new_app = rcv_nxt_ - before;
-    if (remote_fin_ && rcv_nxt_ > remote_fin_seq_) {
-        new_app -= 1; // the FIN itself is not app data
-        if (state_ == state::fin_sent || fin_queued_) state_ = state::done;
-        if (on_closed_) on_closed_();
-    }
-    delivered_app_ += new_app;
-    if (on_delivered_ && new_app > 0) on_delivered_(delivered_app_);
+    delivered_app_ += rcv_nxt_ - before;
+    if (on_delivered_) on_delivered_(delivered_app_);
 }
 
 void connection::process_ack(const segment_header& seg)
@@ -430,17 +405,10 @@ void connection::process_ack(const segment_header& seg)
 
 void connection::handle_segment(const segment_header& seg, std::uint64_t payload_len)
 {
-    if (seg.has(tcp_flag::rst)) {
-        state_ = state::done;
-        if (on_closed_) on_closed_();
-        return;
-    }
-
     switch (state_) {
     case state::syn_sent:
         if (seg.has(tcp_flag::syn) && seg.has(tcp_flag::ack) && seg.ack >= 1) {
             rcv_nxt_ = seg.seq + 1;
-            irs_consumed_ = rcv_nxt_;
             snd_una_ = seg.ack;
             rwnd_ = seg.window;
             rto_generation_++;
@@ -460,39 +428,27 @@ void connection::handle_segment(const segment_header& seg, std::uint64_t payload
         }
         return;
     case state::closed:
-    case state::done:
         return;
     case state::established:
-    case state::fin_sent:
         break;
     }
 
     if (seg.has(tcp_flag::ack)) process_ack(seg);
+    if (payload_len == 0) return; // pure ack
 
     bool need_immediate_ack = false;
-    if (payload_len > 0) {
-        const std::uint64_t seg_end = seg.seq + payload_len;
-        if (seg_end <= rcv_nxt_) {
-            need_immediate_ack = true; // stale duplicate
-        } else if (seg.seq > rcv_nxt_ + cfg_.recv_buffer_bytes) {
-            need_immediate_ack = true; // beyond our buffer: drop
-        } else {
-            const bool in_order = seg.seq <= rcv_nxt_;
-            received_.insert(seg.seq, seg_end);
-            deliver_in_order();
-            if (!in_order || !received_.empty()) need_immediate_ack = true;
-            segs_since_ack_++;
-        }
-    }
-    if (seg.has(tcp_flag::fin)) {
-        remote_fin_ = true;
-        remote_fin_seq_ = seg.seq + payload_len;
-        received_.insert(remote_fin_seq_, remote_fin_seq_ + 1);
+    const std::uint64_t seg_end = seg.seq + payload_len;
+    if (seg_end <= rcv_nxt_) {
+        need_immediate_ack = true; // stale duplicate
+    } else if (seg.seq > rcv_nxt_ + cfg_.recv_buffer_bytes) {
+        need_immediate_ack = true; // beyond our buffer: drop
+    } else {
+        const bool in_order = seg.seq <= rcv_nxt_;
+        received_.insert(seg.seq, seg_end);
         deliver_in_order();
-        need_immediate_ack = true;
+        if (!in_order || !received_.empty()) need_immediate_ack = true;
+        segs_since_ack_++;
     }
-
-    if (payload_len == 0 && !seg.has(tcp_flag::fin)) return; // pure ack
 
     if (need_immediate_ack || segs_since_ack_ >= 2) {
         send_ack_now();

@@ -15,6 +15,9 @@
 // payload content. Message delineation on top of the bytestream — and
 // therefore head-of-line blocking — is observable through the
 // `on_delivered` callback, which reports cumulative *in-order* bytes.
+//
+// There is no teardown: every transfer runs until the simulation ends,
+// so no FIN or RST is ever sent, and one arriving is ignored.
 #pragma once
 
 #include "common/interval_set.hpp"
@@ -62,8 +65,6 @@ public:
         syn_sent,
         syn_received,
         established,
-        fin_sent,
-        done,
     };
 
     connection(netsim::host& h, netsim::packet_id_source& ids, tcp_config cfg,
@@ -78,9 +79,6 @@ public:
     /// the window allows. Returns bytes accepted (send-buffer bound).
     std::uint64_t send(std::uint64_t bytes);
 
-    /// Half-close after everything queued so far is delivered.
-    void close();
-
     state current_state() const { return state_; }
     const connection_stats& stats() const { return stats_; }
     /// Cumulative in-order application bytes handed up so far.
@@ -93,7 +91,6 @@ public:
         on_delivered_ = std::move(cb);
     }
     void set_on_connected(std::function<void()> cb) { on_connected_ = std::move(cb); }
-    void set_on_closed(std::function<void()> cb) { on_closed_ = std::move(cb); }
     /// Invoked when more send-buffer space opens (write-ready signal).
     void set_on_writable(std::function<void()> cb) { on_writable_ = std::move(cb); }
 
@@ -140,8 +137,6 @@ private:
     std::uint64_t snd_high_{0}; // highest sequence ever sent (Karn guard)
     std::uint64_t app_written_{0}; // total bytes the app has queued
     std::uint64_t stream_end_{0};  // app_written_ in sequence space
-    bool fin_queued_{false};
-    bool fin_sent_{false};
     std::uint64_t rwnd_{0};
     interval_set sacked_;
     std::uint32_t dupacks_{0};
@@ -165,11 +160,8 @@ private:
 
     // --- receiver ---
     std::uint64_t rcv_nxt_{0};
-    std::uint64_t irs_consumed_{0}; // SYN-consumed offset for accounting
     std::uint64_t delivered_app_{0};
     interval_set received_;
-    bool remote_fin_{false};
-    std::uint64_t remote_fin_seq_{0};
     std::uint32_t segs_since_ack_{0};
     bool ack_scheduled_{false};
     std::uint64_t ack_generation_{0};
@@ -177,7 +169,6 @@ private:
     connection_stats stats_;
     std::function<void(std::uint64_t)> on_delivered_;
     std::function<void()> on_connected_;
-    std::function<void()> on_closed_;
     std::function<void()> on_writable_;
 };
 

@@ -219,8 +219,10 @@ void register_element_metrics(metrics_registry& reg, const std::string& element_
                   [s] { return s->stats().dropped_unroutable; });
     // Named pipeline counters (P4-style): exported under one canonical
     // key family instead of each scenario inventing its own row names.
-    // No stage bumps `aged_drops` (aged datagrams are forwarded); its row
-    // reads 0 and stays because the pinned metrics CSVs carry it.
+    // No stage bumps `aged_drops` (aged datagrams are forwarded) or
+    // `subscriptions` (subscribers are installed by the control plane,
+    // not in band); their rows read 0 and stay because the pinned
+    // metrics CSVs carry them.
     for (const char* ctr :
          {"mode_transitions", "mode_shifts", "epochs_retired", "backpressure_engagements",
           "backpressure_signals", "backpressure_suppressed", "backpressure_escalations",

@@ -5,7 +5,7 @@
 // pull-model probes that read a component's existing stats struct at
 // snapshot time (so instrumenting a subsystem never adds work to its
 // hot path). Metrics are identified by a name plus optional labels;
-// snapshots render to CSV or JSON with rows sorted by (metric, field),
+// snapshots render to CSV with rows sorted by (metric, field),
 // and every exported value is an integer — same-seed runs produce
 // byte-identical snapshots.
 #pragma once

@@ -83,11 +83,4 @@ std::string fmt_count(std::uint64_t n)
     return buf;
 }
 
-std::string fmt_double(double v, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-    return buf;
-}
-
 } // namespace mmtp::telemetry

@@ -40,6 +40,5 @@ private:
 std::string fmt_rate(double mbps);
 std::string fmt_duration_us(double us);
 std::string fmt_count(std::uint64_t n);
-std::string fmt_double(double v, int decimals = 2);
 
 } // namespace mmtp::telemetry

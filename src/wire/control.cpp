@@ -111,20 +111,4 @@ std::optional<stream_flush_body> parse_stream_flush(std::span<const std::uint8_t
     return b;
 }
 
-void serialize(const subscribe_body& b, byte_writer& w)
-{
-    w.u32(b.experiment);
-    w.u32(b.subscriber);
-}
-
-std::optional<subscribe_body> parse_subscribe(std::span<const std::uint8_t> data)
-{
-    byte_reader r(data);
-    subscribe_body b;
-    b.experiment = r.u32();
-    b.subscriber = r.u32();
-    if (r.failed()) return std::nullopt;
-    return b;
-}
-
 } // namespace mmtp::wire

@@ -56,10 +56,11 @@ struct deadline_exceeded_body {
     bool operator==(const deadline_exceeded_body&) const = default;
 };
 
-/// A retransmission buffer advertising itself to the control plane.
+/// A retransmission buffer announcing itself to a receiver.
 /// `secondary_addr` (0 = none) names an alternate buffer holding the
 /// same streams — receivers fail NAKs over to it when the primary stops
-/// answering ("another retransmission buffer becomes available", §5.1).
+/// answering ("another retransmission buffer becomes available", §5.1);
+/// a revived buffer's re-announcement makes them fail back.
 struct buffer_advert_body {
     ipv4_addr buffer_addr{0};
     std::uint64_t capacity_bytes{0};
@@ -79,25 +80,16 @@ struct stream_flush_body {
     bool operator==(const stream_flush_body&) const = default;
 };
 
-/// Subscribe: ask a duplication-capable element to mirror a stream.
-struct subscribe_body {
-    experiment_id experiment{0};
-    ipv4_addr subscriber{0};
-    bool operator==(const subscribe_body&) const = default;
-};
-
 void serialize(const nak_body& b, byte_writer& w);
 void serialize(const backpressure_body& b, byte_writer& w);
 void serialize(const deadline_exceeded_body& b, byte_writer& w);
 void serialize(const buffer_advert_body& b, byte_writer& w);
 void serialize(const stream_flush_body& b, byte_writer& w);
-void serialize(const subscribe_body& b, byte_writer& w);
 
 std::optional<nak_body> parse_nak(std::span<const std::uint8_t> data);
 std::optional<backpressure_body> parse_backpressure(std::span<const std::uint8_t> data);
 std::optional<deadline_exceeded_body> parse_deadline_exceeded(std::span<const std::uint8_t> data);
 std::optional<buffer_advert_body> parse_buffer_advert(std::span<const std::uint8_t> data);
 std::optional<stream_flush_body> parse_stream_flush(std::span<const std::uint8_t> data);
-std::optional<subscribe_body> parse_subscribe(std::span<const std::uint8_t> data);
 
 } // namespace mmtp::wire

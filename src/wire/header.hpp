@@ -84,8 +84,7 @@ enum class control_type : std::uint8_t {
     nak = 1,               // request retransmission of sequence ranges
     backpressure = 2,      // slow-down signal relayed toward the source
     deadline_exceeded = 3, // timeliness violation notification
-    buffer_advert = 4,     // a buffer announces itself (resource map)
-    subscribe = 5,         // request in-network duplication of a stream
+    buffer_advert = 4,     // a buffer names its failover secondary
     stream_flush = 6,      // end-of-window marker: reveals tail loss
 };
 

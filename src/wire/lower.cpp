@@ -1,7 +1,5 @@
 #include "wire/lower.hpp"
 
-#include <cstdio>
-
 namespace mmtp::wire {
 
 std::optional<eth_header> parse_eth(byte_reader& r)
@@ -46,23 +44,6 @@ std::optional<udp_header> parse_udp(byte_reader& r)
     h.dst_port = c.u16();
     h.length = c.u16();
     return h;
-}
-
-std::string addr_to_string(ipv4_addr a)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (a >> 24) & 0xff, (a >> 16) & 0xff,
-                  (a >> 8) & 0xff, a & 0xff);
-    return buf;
-}
-
-std::optional<ipv4_addr> addr_from_string(const std::string& s)
-{
-    unsigned a = 0, b = 0, c = 0, d = 0;
-    char tail = 0;
-    if (std::sscanf(s.c_str(), "%u.%u.%u.%u%c", &a, &b, &c, &d, &tail) != 4) return std::nullopt;
-    if (a > 255 || b > 255 || c > 255 || d > 255) return std::nullopt;
-    return (a << 24) | (b << 16) | (c << 8) | d;
 }
 
 } // namespace mmtp::wire

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 
 namespace mmtp::wire {
 
@@ -108,10 +107,5 @@ void serialize(const udp_header& h, Out& out)
 std::optional<eth_header> parse_eth(byte_reader& r);
 std::optional<ipv4_header> parse_ipv4(byte_reader& r);
 std::optional<udp_header> parse_udp(byte_reader& r);
-
-/// Renders 32-bit addresses as dotted quads for logs and reports.
-std::string addr_to_string(ipv4_addr a);
-/// Parses "a.b.c.d"; returns std::nullopt on malformed input.
-std::optional<ipv4_addr> addr_from_string(const std::string& s);
 
 } // namespace mmtp::wire

@@ -501,7 +501,6 @@ TEST(histogram, empty)
     histogram h;
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.percentile(50), 0u);
-    EXPECT_EQ(h.mean(), 0.0);
 }
 
 TEST(histogram, exact_small_values)
@@ -512,7 +511,6 @@ TEST(histogram, exact_small_values)
     EXPECT_EQ(h.max(), 63u);
     EXPECT_EQ(h.percentile(0), 0u);
     EXPECT_EQ(h.percentile(100), 63u);
-    EXPECT_NEAR(h.mean(), 31.5, 0.001);
 }
 
 TEST(histogram, percentile_bounded_relative_error)
@@ -533,26 +531,6 @@ TEST(histogram, percentile_bounded_relative_error)
                     static_cast<double>(exact) * 0.05 + 2.0)
             << "p=" << p;
     }
-}
-
-TEST(histogram, merge)
-{
-    histogram a, b;
-    a.record(10);
-    b.record(1000);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.min(), 10u);
-    EXPECT_EQ(a.max(), 1000u);
-}
-
-TEST(histogram, reset)
-{
-    histogram h;
-    h.record(42);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.max(), 0u);
 }
 
 // Regression: percentile() must clamp estimates into [min, max] — the

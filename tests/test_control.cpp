@@ -1,8 +1,7 @@
-// Unit tests for the control plane: resource map, capacity planner, and
-// the mode-policy compiler.
+// Unit tests for the control plane: the capacity planner and the
+// mode-policy compiler.
 #include "control/planner.hpp"
 #include "control/policy.hpp"
-#include "control/resource_map.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,55 +11,6 @@
 using namespace mmtp;
 using namespace mmtp::control;
 using namespace mmtp::literals;
-
-// ----------------------------------------------------------- resource map
-
-TEST(resource_map, add_find_replace)
-{
-    resource_map m;
-    m.add({resource_kind::retransmission_buffer, 0x0a000001, "buf1", 100, 1_s, "site-a"});
-    m.add({resource_kind::programmable_switch, 0x0a000002, "sw1", 0, {}, "site-a"});
-    EXPECT_EQ(m.records().size(), 2u);
-    auto r = m.find(0x0a000001);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->name, "buf1");
-    // same addr replaces
-    m.add({resource_kind::retransmission_buffer, 0x0a000001, "buf1-v2", 200, 1_s, "site-a"});
-    EXPECT_EQ(m.records().size(), 2u);
-    EXPECT_EQ(m.find(0x0a000001)->name, "buf1-v2");
-    EXPECT_FALSE(m.find(0xff).has_value());
-    EXPECT_EQ(m.count(resource_kind::retransmission_buffer), 1u);
-}
-
-TEST(resource_map, nearest_upstream_buffer)
-{
-    resource_map m;
-    m.add({resource_kind::retransmission_buffer, 1, "far", 0, {}, ""});
-    m.add({resource_kind::programmable_switch, 2, "sw", 0, {}, ""});
-    m.add({resource_kind::retransmission_buffer, 3, "near", 0, {}, ""});
-    const std::vector<wire::ipv4_addr> path{1, 2, 3, 4};
-    auto r = m.nearest_upstream_buffer(path, 4);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->name, "near"); // the LAST buffer before the receiver
-    // restrict to the first two hops
-    r = m.nearest_upstream_buffer(path, 2);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->name, "far");
-    EXPECT_FALSE(m.nearest_upstream_buffer(path, 0).has_value());
-}
-
-TEST(resource_map, ingest_advert)
-{
-    resource_map m;
-    wire::buffer_advert_body b{0x0a000009, 1024, 2000};
-    m.ingest_advert(b, "domain-x");
-    auto r = m.find(0x0a000009);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->kind, resource_kind::retransmission_buffer);
-    EXPECT_EQ(r->capacity_bytes, 1024u);
-    EXPECT_EQ(r->retention.ns, (2_s).ns);
-    EXPECT_EQ(r->domain, "domain-x");
-}
 
 // --------------------------------------------------------------- planner
 
@@ -242,8 +192,7 @@ policy_inputs pilot_like_inputs()
 
 TEST(policy, pilot_three_mode_structure)
 {
-    resource_map m;
-    const auto plan = compile_modes(pilot_like_inputs(), m);
+    const auto plan = compile_modes(pilot_like_inputs());
 
     EXPECT_EQ(plan.origin_mode.cfg_data, 0u); // mode 0 at the sensor
     ASSERT_EQ(plan.transitions.size(), 2u);
@@ -267,11 +216,10 @@ TEST(policy, pilot_three_mode_structure)
 
 TEST(policy, deadline_scales_with_path_latency)
 {
-    resource_map m;
     auto in = pilot_like_inputs();
-    const auto short_plan = compile_modes(in, m);
+    const auto short_plan = compile_modes(in);
     in.segments[1].one_way_latency = 100_ms;
-    const auto long_plan = compile_modes(in, m);
+    const auto long_plan = compile_modes(in);
     EXPECT_GT(long_plan.deadline_us, short_plan.deadline_us);
     // slack x path + allowance: 3 x ~11 ms + 2 ms ≈ 35 ms
     EXPECT_NEAR(static_cast<double>(short_plan.deadline_us), 35000.0, 2000.0);
@@ -279,19 +227,7 @@ TEST(policy, deadline_scales_with_path_latency)
 
 TEST(policy, nak_retry_exceeds_recovery_rtt)
 {
-    resource_map m;
-    const auto plan = compile_modes(pilot_like_inputs(), m);
+    const auto plan = compile_modes(pilot_like_inputs());
     // recovery RTT ≈ 2*(10ms+1ms) = 22 ms; retry must exceed it
     EXPECT_GT(plan.suggested_nak_retry.ns, (22_ms).ns);
-}
-
-TEST(policy, buffer_from_resource_map_when_not_explicit)
-{
-    resource_map m;
-    m.add({resource_kind::retransmission_buffer, 0x0a000010, "wan-edge-buf", 0, {}, ""});
-    auto in = pilot_like_inputs();
-    in.recovery_buffer = 0; // let the map decide
-    const auto plan = compile_modes(in, m);
-    ASSERT_FALSE(plan.transitions.empty());
-    EXPECT_EQ(plan.transitions[0].rule.buffer_addr.value_or(0), 0x0a000010u);
 }

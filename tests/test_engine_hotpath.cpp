@@ -437,7 +437,11 @@ TEST(link_stats, reconciliation_holds_with_faults_active)
     auto& l = src.egress(port);
 
     fault_scheduler faults(net.sim());
-    faults.flap_link(l, sim_time{100000}, sim_duration{150000}, sim_duration{250000}, 4);
+    // Four flaps: down 150 us, then up 250 us, from 100 us on.
+    for (std::int64_t i = 0; i < 4; ++i) {
+        faults.fail_link_at(l, sim_time{100000 + i * 400000});
+        faults.repair_link_at(l, sim_time{250000 + i * 400000});
+    }
 
     constexpr std::uint64_t n = 2000;
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -161,7 +161,8 @@ TEST(fault_node, blackout_drops_ingress_but_egress_drains)
     // are still draining; also keep sending toward mid while it is dark.
     for (int i = 0; i < 3; ++i) mid.egress(to_far).send(make_pkt(i + 1, 1000));
     fault_scheduler faults(net.sim());
-    faults.blackout_window(mid, sim_time{500000}, sim_duration{5000000});
+    faults.blackout_node(mid, sim_time{500000});
+    faults.restore_node(mid, sim_time{5500000});
     for (int i = 0; i < 4; ++i) {
         net.sim().schedule_at(sim_time{1000000 + i * 100000}, [&src, to_mid, i] {
             src.egress(to_mid).send(make_pkt(100 + i, 1000));
@@ -201,7 +202,11 @@ auto run_flap_storm(std::uint64_t seed)
     auto& l = src.egress(port);
 
     fault_scheduler faults(net.sim());
-    faults.flap_link(l, sim_time{100000}, sim_duration{150000}, sim_duration{250000}, 4);
+    // Four flaps: down 150 us, then up 250 us, from 100 us on.
+    for (std::int64_t i = 0; i < 4; ++i) {
+        faults.fail_link_at(l, sim_time{100000 + i * 400000});
+        faults.repair_link_at(l, sim_time{250000 + i * 400000});
+    }
     faults.corruption_burst(l, sim_time{700000}, sim_duration{200000}, 1e-5);
 
     for (std::int64_t i = 0; i < 2000; ++i) {

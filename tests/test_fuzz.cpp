@@ -59,7 +59,6 @@ TEST_P(fuzz_seeds, control_body_parsers_total)
         (void)wire::parse_backpressure(bytes);
         (void)wire::parse_deadline_exceeded(bytes);
         (void)wire::parse_buffer_advert(bytes);
-        (void)wire::parse_subscribe(bytes);
     }
     SUCCEED();
 }

@@ -177,13 +177,12 @@ TEST(mode_matrix, every_ordered_pair_shifts_mid_stream)
 namespace {
 
 /// A minimal control-plane fixture: one switch on a daq→wan path, no
-/// traffic — just the engine, the map, and an attached mode stage.
+/// traffic — just the engine and an attached mode stage.
 struct engine_fixture {
     network net{1};
     pnet::programmable_switch* sw;
     netsim::host* buf_host;
     std::shared_ptr<mode_transition_stage> stage;
-    control::resource_map rmap;
     control::policy_inputs pin;
 
     engine_fixture()
@@ -192,10 +191,6 @@ struct engine_fixture {
         sw = &net.emplace<pnet::programmable_switch>("sw", pnet::tofino2_profile());
         stage = std::make_shared<mode_transition_stage>();
         sw->add_stage(stage);
-        rmap.add({control::resource_kind::retransmission_buffer, buf_host->address(),
-                  "dtn-buffer", 1ull << 30, 1_s, "site"});
-        rmap.add({control::resource_kind::programmable_switch, sw->address(), "sw", 0,
-                  sim_duration::zero(), "site"});
         pin.experiment = 6;
         pin.segments = {
             {control::path_segment::kind::daq, sim_duration{1000},
@@ -222,13 +217,12 @@ struct engine_fixture {
 TEST(policy_engine, static_preset_matches_compile_modes_and_aborts_requests)
 {
     engine_fixture f;
-    control::policy_engine pe(f.net.sim(), f.rmap,
-                              f.config(control::mode_preset::static_preset));
+    control::policy_engine pe(f.net.sim(), f.config(control::mode_preset::static_preset));
     pe.attach_element(*f.sw, f.stage);
     pe.start();
 
     // The static preset is compile_modes() verbatim.
-    const auto direct = control::compile_modes(f.pin, f.rmap);
+    const auto direct = control::compile_modes(f.pin);
     EXPECT_EQ(to_string(pe.current().origin_mode), to_string(direct.origin_mode));
     EXPECT_EQ(pe.current().deadline_us, direct.deadline_us);
     EXPECT_EQ(pe.current().suggested_nak_retry.ns, direct.suggested_nak_retry.ns);
@@ -250,8 +244,7 @@ TEST(policy_engine, static_preset_matches_compile_modes_and_aborts_requests)
 TEST(policy_engine, epoch_lifecycle_make_before_break)
 {
     engine_fixture f;
-    control::policy_engine pe(f.net.sim(), f.rmap,
-                              f.config(control::mode_preset::closed_loop));
+    control::policy_engine pe(f.net.sim(), f.config(control::mode_preset::closed_loop));
     pe.attach_element(*f.sw, f.stage);
     pe.start();
 

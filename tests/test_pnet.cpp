@@ -143,7 +143,7 @@ TEST(context, control_body_only_for_control_messages)
 
     wire::header ch;
     ch.m.set(wire::feature::control);
-    ch.control = wire::control_type::subscribe;
+    ch.control = wire::control_type::stream_flush;
     auto ctl_ctx = make_ctx(ch, 1, 2);
     ctl_ctx.pkt.payload = {1, 2, 3};
     EXPECT_EQ(ctl_ctx.control_body().size(), 3u);
@@ -404,36 +404,6 @@ TEST(duplication, no_duplication_bit_no_clones)
     auto ctx = make_ctx(basic_header(6), 1, 2);
     stage.process(ctx, st);
     EXPECT_TRUE(ctx.clones.empty());
-}
-
-TEST(duplication, consumes_subscribe_control)
-{
-    duplication_stage stage;
-    element_state st;
-    st.element_addr = 0x0a000099;
-
-    wire::subscribe_body body;
-    body.experiment = wire::make_experiment_id(6, 0);
-    body.subscriber = 0x0a000072;
-    byte_writer w;
-    serialize(body, w);
-
-    wire::header ch;
-    ch.m.set(wire::feature::control);
-    ch.control = wire::control_type::subscribe;
-    auto ctx = make_ctx(ch, 1, 0x0a000099);
-    auto bytes = w.take();
-    ctx.pkt.payload = bytes;
-    stage.process(ctx, st);
-    EXPECT_TRUE(ctx.drop); // consumed
-    EXPECT_EQ(stage.subscriber_count(6), 1u);
-
-    // subscribe addressed to a different element is forwarded, not eaten
-    auto ctx2 = make_ctx(ch, 1, 0x0a000098);
-    ctx2.pkt.payload = bytes;
-    stage.process(ctx2, st);
-    EXPECT_FALSE(ctx2.drop);
-    EXPECT_EQ(stage.subscriber_count(6), 1u);
 }
 
 // ------------------------------------------------------ band classifier

@@ -208,5 +208,4 @@ TEST(telemetry, format_helpers)
     EXPECT_EQ(telemetry::fmt_duration_us(2500.0), "2.500 ms");
     EXPECT_EQ(telemetry::fmt_duration_us(3.2e6), "3.200 s");
     EXPECT_EQ(telemetry::fmt_count(42), "42");
-    EXPECT_EQ(telemetry::fmt_double(3.14159, 3), "3.142");
 }

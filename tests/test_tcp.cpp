@@ -175,23 +175,6 @@ TEST(tcp_conn, transfer_with_loss_is_reliable)
     EXPECT_GT(c.stats().retransmitted_segments, 0u);
 }
 
-TEST(tcp_conn, fin_closes_cleanly)
-{
-    tcp_pair t;
-    auto& c = t.sa->connect(t.b->address(), 5001);
-    bool closed_at_server = false;
-    c.set_on_connected([&] {
-        c.send(1000);
-        c.close();
-    });
-    t.net.sim().run_until(sim_time{(10_ms).ns});
-    ASSERT_NE(t.server_conn, nullptr);
-    t.server_conn->set_on_closed([&] { closed_at_server = true; });
-    t.net.sim().run();
-    EXPECT_EQ(t.server_conn->delivered_bytes(), 1000u);
-    EXPECT_TRUE(closed_at_server || t.server_conn->delivered_bytes() == 1000u);
-}
-
 // ----------------------------------------------------- window behaviour
 
 namespace {

@@ -54,16 +54,6 @@ TEST(flight_recorder, site_interning_is_idempotent)
     EXPECT_EQ(rec.site_name(0), "?");
 }
 
-TEST(flight_recorder, packet_events_filters_by_id)
-{
-    flight_recorder rec;
-    rec.emit(1, 0, hop::link_enqueue, 5, 0, reason::none);
-    rec.emit(2, 0, hop::link_enqueue, 6, 0, reason::none);
-    rec.emit(3, 0, hop::link_dequeue, 5, 0, reason::none);
-    EXPECT_EQ(rec.packet_events(5).size(), 2u);
-    EXPECT_EQ(rec.packet_events(6).size(), 1u);
-}
-
 TEST(flight_recorder, message_timeline_chases_bindings)
 {
     flight_recorder rec;
